@@ -5,15 +5,16 @@
 //!
 //! Query execution is batched and cache-aware: identical masks are
 //! queried once (a dedup memo), pairs are rebuilt through a reusable
-//! [`MaskedPairBuffer`] instead of per-sample allocation, blocks of
-//! rebuilt pairs go through [`Matcher::predict_proba_batch`] so
-//! vectorisable models amortise feature extraction, and blocks are
-//! distributed over the shared `em-pool` worker pool. Each response
-//! depends only on its own mask, so results are bitwise-identical at any
-//! thread count, block size, and on the batched vs scalar matcher paths.
+//! [`MaskedPairBuffer`] into pooled pairs instead of per-sample
+//! allocation, blocks of rebuilt pairs go through
+//! [`Matcher::predict_proba_batch`] so vectorisable models amortise
+//! feature extraction, and blocks are distributed over the shared
+//! `em-pool` worker pool. Each response depends only on its own mask, so
+//! results are bitwise-identical at any thread count, block size, and on
+//! the batched vs scalar matcher paths.
 
 use em_data::{EntityPair, MaskedPairBuffer, Side, TokenizedPair};
-use em_matchers::Matcher;
+use em_matchers::{Matcher, ScratchPool};
 use em_rngs::rngs::StdRng;
 use em_rngs::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -113,6 +114,14 @@ pub fn sample_masks(
     if perturbable.is_empty() {
         return Err(crate::ExplainError::EmptyPair);
     }
+    // Built once per call: the groups never change, and every shuffle
+    // starts from a fresh copy of its source order, so reusing `order`
+    // leaves every RNG draw as it is.
+    let groups = match opts.strategy {
+        MaskStrategy::AttributeStratified => tokenized.attribute_groups(),
+        _ => Vec::new(),
+    };
+    let mut order: Vec<usize> = Vec::with_capacity(n);
     for _ in 0..opts.samples {
         let mut mask = vec![true; n];
         match opts.strategy {
@@ -128,7 +137,7 @@ pub fn sample_masks(
             MaskStrategy::UniformCount | MaskStrategy::SingleSide(_) => {
                 let max_drop = perturbable.len().max(2) - 1;
                 let n_drop = rng.gen_range(1..=max_drop.max(1));
-                let mut order = perturbable.clone();
+                order.clone_from(&perturbable);
                 partial_shuffle(&mut order, n_drop, &mut rng);
                 for &i in order.iter().take(n_drop) {
                     mask[i] = false;
@@ -138,12 +147,12 @@ pub fn sample_masks(
                 // Choose a global drop fraction, then apply it within every
                 // non-empty attribute group independently.
                 let frac: f64 = rng.gen_range(0.1..0.9);
-                for group in tokenized.attribute_groups() {
+                for group in &groups {
                     if group.is_empty() {
                         continue;
                     }
                     let n_drop = ((group.len() as f64 * frac).round() as usize).min(group.len());
-                    let mut order = group.clone();
+                    order.clone_from(group);
                     partial_shuffle(&mut order, n_drop, &mut rng);
                     for &i in order.iter().take(n_drop) {
                         mask[i] = false;
@@ -200,6 +209,11 @@ fn run_blocked(total: usize, threads: usize, run_block: &(dyn Fn(usize, usize) +
     }
 }
 
+/// Masked-pair vectors shared by every [`query_masks`] block. A pooled
+/// vector only recycles allocations: each block overwrites the prefix it
+/// scores, so which vector a block receives never changes a response.
+static MASKED_PAIRS: ScratchPool<Vec<EntityPair>> = ScratchPool::new();
+
 /// Query the matcher on every masked rebuild of the pair.
 ///
 /// Identical masks are queried once and their response is shared (drop
@@ -237,11 +251,21 @@ pub fn query_masks(
     let slots: Vec<AtomicU64> = (0..unique.len()).map(|_| AtomicU64::new(0)).collect();
     run_blocked(unique.len(), threads, &|start, end| {
         let mut buffer = MaskedPairBuffer::new(tokenized);
-        let pairs: Vec<EntityPair> = unique[start..end]
-            .iter()
-            .map(|&i| buffer.apply(&masks[i]).clone())
-            .collect();
-        for (slot, p) in (start..end).zip(matcher.predict_proba_batch(&pairs)) {
+        // Rebuild into pooled pairs: `clone_from` reuses each pooled
+        // pair's record and string capacity, so a warm block allocates
+        // nothing per mask. Surplus pairs from a larger earlier block stay
+        // in the vector (outside the scored prefix) for the next caller.
+        let mut pairs = MASKED_PAIRS.take();
+        for (k, &i) in unique[start..end].iter().enumerate() {
+            let rebuilt = buffer.apply(&masks[i]);
+            match pairs.get_mut(k) {
+                Some(pooled) => pooled.clone_from(rebuilt),
+                None => pairs.push(rebuilt.clone()),
+            }
+        }
+        let scores = matcher.predict_proba_batch(&pairs[..end - start]);
+        MASKED_PAIRS.put(pairs);
+        for (slot, p) in (start..end).zip(scores) {
             slots[slot].store(p.to_bits(), Ordering::SeqCst);
         }
     });

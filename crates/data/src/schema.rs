@@ -62,11 +62,29 @@ impl Schema {
 
 /// A single entity description: one string value per schema attribute
 /// (empty string models NULL).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Record {
     /// Source-local identifier (stable across splits; used in reports).
     pub id: u64,
     values: Vec<String>,
+}
+
+impl Clone for Record {
+    fn clone(&self) -> Self {
+        Record {
+            id: self.id,
+            values: self.values.clone(),
+        }
+    }
+
+    /// Overwrite `self` with a copy of `source`, reusing the value vector
+    /// and every value string's capacity (`Vec::clone_from` forwards to
+    /// `String::clone_from` per element). The perturbation engine rebuilds
+    /// hundreds of masked pairs per explanation into pooled pairs this way.
+    fn clone_from(&mut self, source: &Self) {
+        self.id = source.id;
+        self.values.clone_from(&source.values);
+    }
 }
 
 impl Record {
@@ -154,11 +172,32 @@ impl fmt::Display for Side {
 }
 
 /// A candidate pair of entity descriptions over a shared schema.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct EntityPair {
     schema: Arc<Schema>,
     left: Record,
     right: Record,
+}
+
+impl Clone for EntityPair {
+    fn clone(&self) -> Self {
+        EntityPair {
+            schema: Arc::clone(&self.schema),
+            left: self.left.clone(),
+            right: self.right.clone(),
+        }
+    }
+
+    /// Capacity-reusing copy: both records go through
+    /// [`Record::clone_from`], and the schema handle is only re-pointed
+    /// when it differs.
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.schema, &source.schema) {
+            self.schema = Arc::clone(&source.schema);
+        }
+        self.left.clone_from(&source.left);
+        self.right.clone_from(&source.right);
+    }
 }
 
 impl EntityPair {

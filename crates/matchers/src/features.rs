@@ -40,14 +40,13 @@ pub struct ExtractScratch {
     /// scan order differs between `(a, b)` and `(b, a)`, so the key is
     /// deliberately not symmetrised.
     jw_cache: HashMap<(u32, u32), f64>,
-    /// Record view (tuple of interned cell ids) → index into `records`.
-    record_ids: HashMap<Vec<u32>, u32>,
-    records: Vec<RecordFeatures>,
+    /// Interned cell ids of the current pair's left and right records.
     key_l: Vec<u32>,
     key_r: Vec<u32>,
+    /// Whole-record features of the current pair, rewritten per pair.
+    record_l: RecordFeatures,
+    record_r: RecordFeatures,
     cols_scratch: Vec<u32>,
-    ids_scratch: Vec<u32>,
-    counts_scratch: Vec<(usize, f64)>,
 }
 
 impl ExtractScratch {
@@ -61,13 +60,51 @@ impl ExtractScratch {
         self.tfidf_col.clear();
         self.attr_cache.clear();
         self.jw_cache.clear();
-        self.record_ids.clear();
-        self.records.clear();
+    }
+
+    /// Rewrite the left (or right) record's whole-record features from
+    /// its interned cell ids (`key_l`/`key_r`).
+    fn record_features(&mut self, tfidf: &TfIdf, left: bool) {
+        let (key, rec) = if left {
+            (&self.key_l, &mut self.record_l)
+        } else {
+            (&self.key_r, &mut self.record_r)
+        };
+        // Gather in-vocabulary columns (with multiplicity) and all token
+        // ids across the record's cells.
+        let cols = &mut self.cols_scratch;
+        cols.clear();
+        rec.distinct.clear();
+        for &cid in key {
+            for &tid in self.arena.tokens(cid) {
+                rec.distinct.push(tid);
+                let col = self.tfidf_col[tid as usize];
+                if col >= 0 {
+                    cols.push(col as u32);
+                }
+            }
+        }
+        // Run-length encode the sorted columns into (column, count); the
+        // counts are exact small integers, so accumulating them here is
+        // bitwise-equal to `transform`'s `+= 1.0` hash-map counting.
+        cols.sort_unstable();
+        rec.tfidf.clear();
+        for &c in cols.iter() {
+            match rec.tfidf.last_mut() {
+                Some(last) if last.0 == c as usize => last.1 += 1.0,
+                _ => rec.tfidf.push((c as usize, 1.0)),
+            }
+        }
+        tfidf.transform_sorted_counts(&mut rec.tfidf);
+        rec.distinct.sort_unstable();
+        rec.distinct.dedup();
     }
 }
 
-/// Whole-record derived data, computed once per distinct record view.
-#[derive(Debug)]
+/// Whole-record derived data of one record view. Recomputed for every
+/// pair into reused vectors: on masked batches a record-level memo hits
+/// too rarely to pay for hashing its key and allocating its entries.
+#[derive(Debug, Default)]
 struct RecordFeatures {
     /// L2-normalised TF-IDF vector over vocabulary columns.
     tfidf: SparseVec,
@@ -160,13 +197,14 @@ impl FeatureExtractor {
     /// keep one whole record constant — so cell values are interned once
     /// into a [`TokenArena`] and every expensive kernel runs on integer id
     /// slices: per-cell similarity bundles are cached per distinct
-    /// `(left, right)` cell-id pair, Jaro-Winkler per directional token-id
-    /// pair, and whole-record TF-IDF vectors / distinct-token sets per
-    /// distinct tuple of cell ids. Values are space-joined in `full_text`
-    /// and the tokenizer splits on non-alphanumerics, so per-cell token
-    /// sequences concatenate to exactly the full-record tokenisation. The
-    /// caches live only for the call (the scratch is cleared on entry):
-    /// no invalidation, no locking, and every cached value is computed by
+    /// `(left, right)` cell-id pair and Jaro-Winkler per directional
+    /// token-id pair. Whole-record TF-IDF vectors and distinct-token sets
+    /// are rebuilt per pair from the interned cells into reused scratch
+    /// vectors. Values are space-joined in `full_text` and the tokenizer
+    /// splits on non-alphanumerics, so per-cell token sequences
+    /// concatenate to exactly the full-record tokenisation. The caches
+    /// live only for the call (the scratch is cleared on entry): no
+    /// invalidation, no locking, and every cached value is computed by
     /// kernels proven bitwise-equal to the scalar string path.
     pub fn extract_batch_into(
         &self,
@@ -213,67 +251,23 @@ impl FeatureExtractor {
             while out.len() - row_start < self.n_attributes * PER_ATTRIBUTE_FEATURES {
                 out.push(0.0);
             }
-            let li = self.record_index(scratch, true);
-            let ri = self.record_index(scratch, false);
-            let (lrec, rrec) = (&scratch.records[li], &scratch.records[ri]);
+            // Extend the token → vocabulary-column memo over newly
+            // interned tokens (ids are dense, so the memo is a flat vector).
+            while scratch.tfidf_col.len() < scratch.arena.n_tokens() {
+                let tid = scratch.tfidf_col.len() as u32;
+                let col = self
+                    .tfidf
+                    .column(scratch.arena.token_text(tid))
+                    .map_or(-1, |c| c as i32);
+                scratch.tfidf_col.push(col);
+            }
+            scratch.record_features(&self.tfidf, true);
+            scratch.record_features(&self.tfidf, false);
+            let (lrec, rrec) = (&scratch.record_l, &scratch.record_r);
             out.push(em_text::sparse_dot(&lrec.tfidf, &rrec.tfidf));
             out.push(em_text::jaccard_sorted_ids(&lrec.distinct, &rrec.distinct));
             out.push(em_text::overlap_sorted_ids(&lrec.distinct, &rrec.distinct));
         }
-    }
-
-    /// Return the index of a record's cached whole-record features,
-    /// computing them on first sight. The record is identified by its
-    /// already-interned cell-id key (`key_l`/`key_r` in the scratch).
-    fn record_index(&self, scratch: &mut ExtractScratch, left: bool) -> usize {
-        let key = if left { &scratch.key_l } else { &scratch.key_r };
-        if let Some(&i) = scratch.record_ids.get(key.as_slice()) {
-            return i as usize;
-        }
-        // Extend the token → vocabulary-column memo over newly interned
-        // tokens (ids are dense, so the memo is a flat vector).
-        while scratch.tfidf_col.len() < scratch.arena.n_tokens() {
-            let tid = scratch.tfidf_col.len() as u32;
-            let col = self
-                .tfidf
-                .column(scratch.arena.token_text(tid))
-                .map_or(-1, |c| c as i32);
-            scratch.tfidf_col.push(col);
-        }
-        // Gather in-vocabulary columns (with multiplicity) and all token
-        // ids across the record's cells.
-        scratch.cols_scratch.clear();
-        scratch.ids_scratch.clear();
-        for &cid in key {
-            for &tid in scratch.arena.tokens(cid) {
-                scratch.ids_scratch.push(tid);
-                let col = scratch.tfidf_col[tid as usize];
-                if col >= 0 {
-                    scratch.cols_scratch.push(col as u32);
-                }
-            }
-        }
-        // Run-length encode the sorted columns into (column, count); the
-        // counts are exact small integers, so accumulating them here is
-        // bitwise-equal to `transform`'s `+= 1.0` hash-map counting.
-        scratch.cols_scratch.sort_unstable();
-        scratch.counts_scratch.clear();
-        for &c in &scratch.cols_scratch {
-            match scratch.counts_scratch.last_mut() {
-                Some(last) if last.0 == c as usize => last.1 += 1.0,
-                _ => scratch.counts_scratch.push((c as usize, 1.0)),
-            }
-        }
-        let tfidf = self.tfidf.transform_sorted_counts(&scratch.counts_scratch);
-        scratch.ids_scratch.sort_unstable();
-        scratch.ids_scratch.dedup();
-        let idx = scratch.records.len();
-        scratch.records.push(RecordFeatures {
-            tfidf,
-            distinct: scratch.ids_scratch.clone(),
-        });
-        scratch.record_ids.insert(key.clone(), idx as u32);
-        idx
     }
 
     /// Extract features for every pair of a dataset along with labels.

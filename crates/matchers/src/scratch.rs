@@ -30,7 +30,9 @@ pub struct ScratchPool<T: Default> {
 }
 
 impl<T: Default> ScratchPool<T> {
-    pub fn new() -> Self {
+    /// `const`, so a pool can also back a `static` (the perturbation
+    /// engine's masked-pair buffers).
+    pub const fn new() -> Self {
         ScratchPool {
             idle: Mutex::new(Vec::new()),
         }

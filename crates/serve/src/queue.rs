@@ -19,7 +19,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// What a queued job asks of the backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobKind {
     /// One `predict_proba` answer (batched across the window).
     Predict,
@@ -83,7 +83,8 @@ impl ServeError {
 pub struct Job {
     pub kind: JobKind,
     pub pair: EntityPair,
-    /// `em_eval::pair_fingerprint` of `pair` — the coalescing identity.
+    /// `em_eval::pair_fingerprint` of `pair` — the coalescing bucket (a
+    /// slot is shared only between equal pairs).
     pub fingerprint: u64,
     /// Position within the originating request.
     pub index: usize,

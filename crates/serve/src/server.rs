@@ -11,8 +11,8 @@
 //!   block on the reply channel. A slow or malformed client costs its
 //!   own thread a timeout, never the accept loop or the dispatcher.
 //! * **dispatcher thread** — the only caller into the matcher/stores.
-//!   Each [`Coalescer::next_batch`] window is deduplicated by pair
-//!   fingerprint, answered with one `predict_proba_batch` plus one
+//!   Each [`Coalescer::next_batch`] window is deduplicated (bucketed by
+//!   pair fingerprint, shared only between equal pairs), answered with one `predict_proba_batch` plus one
 //!   `EvalSession` store pass (explanations fan out over `em-pool`),
 //!   then fanned back out to every coalesced duplicate.
 //!
@@ -32,6 +32,7 @@ use em_eval::{
 };
 use em_matchers::Matcher;
 use em_synth::Family;
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
@@ -513,42 +514,38 @@ struct Deduped {
 }
 
 fn coalesce(batch: Vec<Job>) -> Deduped {
-    let mut predict_slots: Vec<(u64, usize)> = Vec::new();
-    let mut explain_slots: Vec<(ExplainerKind, u64, usize)> = Vec::new();
-    let mut predict_pairs = Vec::new();
-    let mut explain_work = Vec::new();
+    // `(kind, fingerprint)` → the unique slots filed under it. The
+    // fingerprint only buckets: a job shares a slot only with an equal
+    // pair, so two pairs whose fingerprints collide get separate answers.
+    let mut buckets: HashMap<(JobKind, u64), Vec<usize>> = HashMap::with_capacity(batch.len());
+    let mut predict_pairs: Vec<EntityPair> = Vec::new();
+    let mut explain_work: Vec<(ExplainerKind, EntityPair)> = Vec::new();
     let mut jobs = Vec::with_capacity(batch.len());
     let mut coalesced = 0usize;
     for job in batch {
-        let slot = match job.kind {
-            JobKind::Predict => match predict_slots.iter().find(|(fp, _)| *fp == job.fingerprint) {
-                Some(&(_, slot)) => {
-                    coalesced += 1;
-                    slot
-                }
-                None => {
-                    let slot = predict_pairs.len();
-                    predict_slots.push((job.fingerprint, slot));
-                    predict_pairs.push(job.pair.clone());
-                    slot
-                }
-            },
-            JobKind::Explain(kind) => {
-                match explain_slots
-                    .iter()
-                    .find(|(k, fp, _)| *k == kind && *fp == job.fingerprint)
-                {
-                    Some(&(_, _, slot)) => {
-                        coalesced += 1;
-                        slot
+        let bucket = buckets.entry((job.kind, job.fingerprint)).or_default();
+        let shared = bucket.iter().copied().find(|&slot| match job.kind {
+            JobKind::Predict => predict_pairs[slot] == job.pair,
+            JobKind::Explain(_) => explain_work[slot].1 == job.pair,
+        });
+        let slot = match shared {
+            Some(slot) => {
+                coalesced += 1;
+                slot
+            }
+            None => {
+                let slot = match job.kind {
+                    JobKind::Predict => {
+                        predict_pairs.push(job.pair.clone());
+                        predict_pairs.len() - 1
                     }
-                    None => {
-                        let slot = explain_work.len();
-                        explain_slots.push((kind, job.fingerprint, slot));
+                    JobKind::Explain(kind) => {
                         explain_work.push((kind, job.pair.clone()));
-                        slot
+                        explain_work.len() - 1
                     }
-                }
+                };
+                bucket.push(slot);
+                slot
             }
         };
         jobs.push((job, slot));
@@ -607,5 +604,61 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
         };
         // A dead receiver (client hung up) is fine — drop the reply.
         let _ = job.reply.send((job.index, result));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use em_data::{Record, Schema};
+
+    fn pair(schema: &Arc<Schema>, left: &str, right: &str) -> EntityPair {
+        EntityPair::new(
+            Arc::clone(schema),
+            Record::new(0, vec![left.to_string()]),
+            Record::new(1, vec![right.to_string()]),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn coalesce_shares_slots_only_between_equal_pairs() {
+        let schema = Arc::new(Schema::new(vec!["title"]));
+        let a = pair(&schema, "sonix tv 55", "sonix television 55");
+        let b = pair(&schema, "veltron laptop", "koyama blender");
+        let (reply, _rx) = channel();
+        // Every job carries the same forced fingerprint, as two colliding
+        // pairs would; only the true duplicates of `a` may share its slot.
+        let jobs = [
+            (JobKind::Predict, &a),
+            (JobKind::Predict, &b),
+            (JobKind::Predict, &a),
+            (JobKind::Explain(ExplainerKind::Crew), &b),
+            (JobKind::Explain(ExplainerKind::Crew), &a),
+            (JobKind::Explain(ExplainerKind::Crew), &b),
+        ];
+        let batch = jobs
+            .iter()
+            .enumerate()
+            .map(|(index, &(kind, p))| Job {
+                kind,
+                pair: p.clone(),
+                fingerprint: 0x5eed,
+                index,
+                reply: reply.clone(),
+            })
+            .collect();
+        let deduped = coalesce(batch);
+        assert_eq!(deduped.predict_pairs, vec![a.clone(), b.clone()]);
+        assert_eq!(
+            deduped.explain_work,
+            vec![(ExplainerKind::Crew, b), (ExplainerKind::Crew, a)]
+        );
+        let slots: Vec<(usize, usize)> = deduped
+            .jobs
+            .iter()
+            .map(|(job, slot)| (job.index, *slot))
+            .collect();
+        assert_eq!(slots, vec![(0, 0), (1, 1), (2, 0), (3, 0), (4, 1), (5, 0)]);
     }
 }

@@ -6,9 +6,10 @@
 //! The candidate list is never materialized: [`crate::Blocks`] holds the
 //! per-block member lists and [`crate::CandidateStream`] k-way-merges
 //! them into sorted deduplicated batches on demand, so candidate memory
-//! is O(blocks), not O(candidates). Only one batch of
-//! [`em_data::EntityPair`]s is ever materialized, explanation outputs
-//! are compacted to [`ExplainedMatch`] digests, and the
+//! is O(blocks), not O(candidates). At most two batches of
+//! [`em_data::EntityPair`]s are materialized at once (the one being
+//! explained and the next one, being scored alongside it), explanation
+//! outputs are compacted to [`ExplainedMatch`] digests, and the
 //! perturbation/explanation caches are byte-budgeted
 //! ([`crate::StreamStores`]). Peak memory therefore depends on the
 //! record collections, the batch size and the store budget — not on the
@@ -35,6 +36,9 @@ use em_embed::WordEmbeddings;
 use em_eval::{pair_content_fingerprint, StoreBudget, StoreStats};
 use em_matchers::Matcher;
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// One candidate batch's materialized pairs and their match scores.
+type ScoredBatch = (Vec<EntityPair>, Vec<f64>);
 
 /// Configuration of one stream run.
 #[derive(Debug, Clone)]
@@ -146,19 +150,12 @@ pub fn run_stream(
         options.jobs
     };
 
-    let mut matches: Vec<ExplainedMatch> = Vec::new();
-    let mut matched_idx: Vec<(u32, u32)> = Vec::new();
-    let mut candidate_count = 0usize;
-    let mut stream = blocks.stream();
-    loop {
-        // Pull only this batch's candidates out of the merge.
-        let batch = stream.next_batch(options.batch.max(1));
-        if batch.is_empty() {
-            break;
-        }
-        candidate_count += batch.len();
-        // Materialize only this batch's pairs.
-        let pairs: Vec<EntityPair> = batch
+    // Materialize one batch's pairs and score them. The call may run as a
+    // pool task under `stream/explain`, so it re-enters the `stream` span
+    // context: every match call lands in `stream/match` wherever it runs.
+    let stream_ctx = em_obs::current_context();
+    let score = |batch: &[(u32, u32)]| -> Result<ScoredBatch, StreamError> {
+        let pairs = batch
             .iter()
             .map(|&(i, j)| {
                 EntityPair::new(
@@ -167,24 +164,50 @@ pub fn run_stream(
                     right[j as usize].clone(),
                 )
             })
-            .collect::<Result<_, _>>()?;
+            .collect::<Result<Vec<_>, _>>()?;
+        let _ctx = em_obs::enter_context(stream_ctx);
+        let _g = em_obs::span!("match");
+        let scores = matcher.predict_proba_batch(&pairs);
+        Ok((pairs, scores))
+    };
 
-        let scores = {
-            let _g = em_obs::span!("match");
-            matcher.predict_proba_batch(&pairs)
-        };
+    let mut matches: Vec<ExplainedMatch> = Vec::new();
+    let mut matched_idx: Vec<(u32, u32)> = Vec::new();
+    let mut candidate_count = 0usize;
+    let mut stream = blocks.stream();
+    // Pull only one batch's candidates out of the merge at a time.
+    let mut batch = stream.next_batch(options.batch.max(1));
+    let mut scored = if batch.is_empty() {
+        None
+    } else {
+        Some(score(&batch)?)
+    };
+    while let Some((pairs, scores)) = scored {
+        candidate_count += batch.len();
         let hits: Vec<usize> = (0..pairs.len())
             .filter(|&t| scores[t] >= threshold)
             .collect();
 
-        // Explain the batch's matches in parallel; slots are keyed by
-        // position so the merged order is schedule-independent.
+        // Explain this batch's matches in parallel; slots are keyed by
+        // position so the merged order is schedule-independent. The next
+        // batch is scored as one more task of the same fan-out (task 0,
+        // the longest, claimed first), so no thread idles through a
+        // serial scoring step. Scores are pure per-pair functions, so
+        // when they are computed never changes a bit.
+        let next = stream.next_batch(options.batch.max(1));
+        let overlap = usize::from(!next.is_empty());
+        let next_scored: OnceLock<Result<ScoredBatch, StreamError>> = OnceLock::new();
         let slots: Vec<OnceLock<ExplainedMatch>> =
             (0..hits.len()).map(|_| OnceLock::new()).collect();
         let first_error: Mutex<Option<StreamError>> = Mutex::new(None);
         {
             let _g = em_obs::span!("explain");
-            em_pool::global().run(hits.len(), threads, &|t| {
+            em_pool::global().run(overlap + hits.len(), threads, &|t| {
+                if t < overlap {
+                    let _ = next_scored.set(score(&next));
+                    return;
+                }
+                let t = t - overlap;
                 let idx = hits[t];
                 match explain_one(&stores, &crew, matcher, &pairs[idx], scores[idx], options) {
                     Ok(m) => {
@@ -197,6 +220,8 @@ pub fn run_stream(
                 }
             });
         }
+        // This batch's explain errors first, then the next batch's
+        // materialization error: the order a serial loop reports them in.
         if let Some(e) = first_error.into_inner().expect("error slot poisoned") {
             return Err(e);
         }
@@ -204,6 +229,8 @@ pub fn run_stream(
             matches.push(slot.into_inner().expect("explained every hit"));
             matched_idx.push(batch[hits[t]]);
         }
+        batch = next;
+        scored = next_scored.into_inner().transpose()?;
     }
     drop(stream);
     em_obs::counter!("stream/candidates", candidate_count as u64);

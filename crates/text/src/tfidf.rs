@@ -74,25 +74,24 @@ impl TfIdf {
         self.idf[column]
     }
 
-    /// [`TfIdf::transform`] from a pre-aggregated term-frequency list:
-    /// `counts` holds `(column, term_count)` sorted ascending by column
-    /// with no duplicates, out-of-vocabulary tokens already dropped.
-    /// Bitwise-identical to `transform`: that path also multiplies
-    /// `tf * idf` per entry, sorts by column, and only then accumulates
-    /// the norm in ascending-column order.
-    pub fn transform_sorted_counts(&self, counts: &[(usize, f64)]) -> SparseVec {
+    /// [`TfIdf::transform`] from a pre-aggregated term-frequency list,
+    /// in place: `counts` holds `(column, term_count)` sorted ascending by
+    /// column with no duplicates, out-of-vocabulary tokens already
+    /// dropped, and is turned into the document's TF-IDF vector without
+    /// allocating. Bitwise-identical to `transform`: that path also
+    /// multiplies `tf * idf` per entry, sorts by column, and only then
+    /// accumulates the norm in ascending-column order.
+    pub fn transform_sorted_counts(&self, counts: &mut SparseVec) {
         debug_assert!(counts.windows(2).all(|w| w[0].0 < w[1].0));
-        let mut vec: SparseVec = counts
-            .iter()
-            .map(|&(id, tf)| (id, tf * self.idf[id]))
-            .collect();
-        let norm: f64 = vec.iter().map(|&(_, v)| v * v).sum::<f64>().sqrt();
+        for (id, tf) in counts.iter_mut() {
+            *tf *= self.idf[*id];
+        }
+        let norm: f64 = counts.iter().map(|&(_, v)| v * v).sum::<f64>().sqrt();
         if norm > 0.0 {
-            for (_, v) in &mut vec {
+            for (_, v) in counts.iter_mut() {
                 *v /= norm;
             }
         }
-        vec
     }
 
     /// Transform a document into an L2-normalised sparse TF-IDF vector.
@@ -212,7 +211,8 @@ mod tests {
             }
         }
         counts.sort_by_key(|&(c, _)| c);
-        let fast = m.transform_sorted_counts(&counts);
+        let mut fast = counts;
+        m.transform_sorted_counts(&mut fast);
         let slow = m.transform(&doc);
         assert_eq!(fast.len(), slow.len());
         for (a, b) in fast.iter().zip(&slow) {

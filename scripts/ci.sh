@@ -30,6 +30,12 @@ cargo test -q -p em-linalg --locked --offline
 echo "==> obs no-op build (probes compile away with em-obs/noop)"
 cargo check -q -p em-bench --features obs-noop --locked --offline
 
+echo "==> perfbench unit tests (run.py + worker)"
+# perfbench/ is its own cargo workspace (see perfbench/README.md), so
+# the workspace test run above never reaches its worker tests.
+python3 perfbench/test_run.py
+cargo test --release --locked --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> trace smoke (exp_t1 --smoke --trace) + schema check"
 cargo run --release --locked --offline -p em-bench --bin exp_t1 -- --smoke --trace
 python3 - results/TRACE_exp_t1_smoke.json <<'EOF'

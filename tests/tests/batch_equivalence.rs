@@ -9,9 +9,16 @@
 //! 2. **Scheduling independence.** Queries fanned out over a shared worker
 //!    pool land in per-index slots, so the result vector is bitwise
 //!    identical to the sequential loop at any worker count.
+//!
+//! The pooled rebuild path is pinned here too: capacity-reusing
+//! `clone_from` equals a fresh clone whatever the target held before,
+//! `query_masks` over dirty pooled pairs equals the scalar
+//! `apply_mask` → `predict_proba` loop, and the mask sampler draws the
+//! exact masks it always drew (digests recorded before its buffers were
+//! hoisted out of the sample loop).
 
-use crew_core::{query_masks, sample_masks, PerturbOptions};
-use em_data::{EntityPair, TokenizedPair};
+use crew_core::{query_masks, sample_masks, MaskStrategy, PerturbOptions};
+use em_data::{EntityPair, Record, Schema, Side, TokenizedPair};
 use em_matchers::{
     AttentionMatcher, AttentionOptions, CalibratedMatcher, EnsembleMatcher, LogisticMatcher,
     Matcher, MlpMatcher, RuleMatcher, TrainOptions,
@@ -189,5 +196,196 @@ proptest! {
                 workers, i, s, p
             );
         }
+    }
+}
+
+fn record(id: u64, values: &[&str]) -> Record {
+    Record::new(id, values.iter().map(|v| v.to_string()).collect())
+}
+
+#[test]
+fn record_clone_from_equals_a_fresh_clone() {
+    let source = record(7, &["sonix tv", "", "499"]);
+    let targets = [
+        // More values, each longer than the source's.
+        record(
+            1,
+            &["a much longer title than before", "brand", "999.99", "x"],
+        ),
+        // Fewer values.
+        record(2, &["one"]),
+        // Same arity, longer strings.
+        record(3, &["sonix television 55 inch", "sonix corp", "1499"]),
+        // Empty.
+        Record::new(4, Vec::new()),
+    ];
+    for mut target in targets {
+        target.clone_from(&source);
+        assert_eq!(target, source.clone());
+        assert_eq!(target.id, 7);
+        assert_eq!(target.values(), source.values());
+    }
+}
+
+#[test]
+fn pair_clone_from_equals_a_fresh_clone() {
+    let wide = Arc::new(Schema::new(vec!["title", "brand", "price"]));
+    let narrow = Arc::new(Schema::new(vec!["name"]));
+    let source = EntityPair::new(
+        Arc::clone(&wide),
+        record(1, &["sonix tv", "sonix", "499"]),
+        record(2, &["sonix television", "", "489"]),
+    )
+    .unwrap();
+    let targets = [
+        // Another schema, fewer values per record.
+        EntityPair::new(
+            Arc::clone(&narrow),
+            record(10, &["a long name from another schema"]),
+            record(11, &["x"]),
+        )
+        .unwrap(),
+        // Same schema, longer strings.
+        EntityPair::new(
+            Arc::clone(&wide),
+            record(20, &["veltron laptop 15 inch", "veltron", "1299.00"]),
+            record(21, &["veltron notebook 15", "veltron inc", "1249.00"]),
+        )
+        .unwrap(),
+        // An equal schema behind a different handle.
+        EntityPair::new(
+            Arc::new(Schema::new(vec!["title", "brand", "price"])),
+            record(30, &["", "", ""]),
+            record(31, &["", "", ""]),
+        )
+        .unwrap(),
+    ];
+    for mut target in targets {
+        target.clone_from(&source);
+        assert_eq!(target, source.clone());
+        assert!(
+            std::ptr::eq(target.schema(), source.schema()),
+            "the schema handle is re-pointed at the source's"
+        );
+    }
+    // A schema with more attributes than the source's.
+    let mut target = EntityPair::new(
+        Arc::new(Schema::new(vec!["a", "b", "c", "d"])),
+        record(40, &["w", "x", "y", "z"]),
+        record(41, &["w", "x", "y", "z"]),
+    )
+    .unwrap();
+    target.clone_from(&source);
+    assert_eq!(target, source);
+    assert_eq!(target.left().len(), 3);
+}
+
+#[test]
+fn pooled_query_masks_equals_the_scalar_loop_for_every_matcher() {
+    let zoo = zoo();
+    // Pairs ordered so every query follows one over a different pair,
+    // often a longer one, leaving dirty pooled pairs with more words and
+    // other record ids behind.
+    let mut pairs: Vec<&EntityPair> = zoo.test_pairs.iter().take(6).collect();
+    pairs.sort_by_key(|p| std::cmp::Reverse(TokenizedPair::new((*p).clone()).len()));
+    for (name, matcher) in &zoo.matchers {
+        for threads in [1usize, 4] {
+            for (k, pair) in pairs.iter().enumerate() {
+                let tp = TokenizedPair::new((*pair).clone());
+                let masks = sample_masks(
+                    &tp,
+                    &PerturbOptions {
+                        samples: 80,
+                        seed: k as u64,
+                        threads,
+                        ..Default::default()
+                    },
+                )
+                .expect("masks");
+                let got = query_masks(&tp, &masks, matcher.as_ref(), threads);
+                let want: Vec<f64> = masks
+                    .iter()
+                    .map(|m| matcher.predict_proba(&tp.apply_mask(m)))
+                    .collect();
+                assert_eq!(got.len(), want.len());
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        g.to_bits() == w.to_bits(),
+                        "{name} threads={threads} pair {k} mask {i}: pooled {g} vs scalar {w}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// FNV-1a over every mask, row lengths included.
+fn masks_digest(h: &mut u64, masks: &[Vec<bool>]) {
+    let mut mix = |byte: u8| {
+        *h ^= u64::from(byte);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for mask in masks {
+        for b in (mask.len() as u64).to_le_bytes() {
+            mix(b);
+        }
+        for &bit in mask {
+            mix(u8::from(bit));
+        }
+    }
+}
+
+#[test]
+fn sampled_masks_match_pinned_digests() {
+    let schema = Arc::new(Schema::new(vec!["title", "brand", "price"]));
+    let pairs: Vec<TokenizedPair> = [
+        (
+            ["Sony Bravia 55\" TV", "Sony", "499.99"],
+            ["Bravia 55 inch television", "", "489"],
+        ),
+        (
+            ["veltron laptop", "", ""],
+            ["veltron notebook pro 15", "veltron inc", "1299"],
+        ),
+        (["one", "two", "three"], ["four", "five", "six"]),
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, (l, r))| {
+        TokenizedPair::new(
+            EntityPair::new(
+                Arc::clone(&schema),
+                record(2 * i as u64, l),
+                record(2 * i as u64 + 1, r),
+            )
+            .unwrap(),
+        )
+    })
+    .collect();
+    let pinned = [
+        (MaskStrategy::UniformCount, 0xdd51_3509_7c5b_87bf),
+        (MaskStrategy::Bernoulli, 0xbb8a_d7da_c7c5_266b),
+        (MaskStrategy::AttributeStratified, 0xd915_141a_8ecc_6f2a),
+        (MaskStrategy::SingleSide(Side::Left), 0xd400_f7e6_38ee_7345),
+        (MaskStrategy::SingleSide(Side::Right), 0xe145_f589_e08b_db25),
+    ];
+    for (strategy, want) in pinned {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for tp in &pairs {
+            for seed in [0u64, 7, 1009] {
+                let masks = sample_masks(
+                    tp,
+                    &PerturbOptions {
+                        samples: 64,
+                        strategy,
+                        seed,
+                        threads: 1,
+                    },
+                )
+                .expect("masks");
+                masks_digest(&mut h, &masks);
+            }
+        }
+        assert_eq!(h, want, "{strategy:?} draws different masks");
     }
 }
