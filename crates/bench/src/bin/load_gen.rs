@@ -71,16 +71,15 @@ fn main() {
     let (name, smoke) = em_bench::run_name("serve");
     let clients = arg_usize("--clients").unwrap_or(if smoke { 4 } else { 8 });
     let requests = arg_usize("--requests").unwrap_or(if smoke { 16 } else { 80 });
-    let window_ms = arg_usize("--window-ms").unwrap_or(4);
     let query_jobs = em_bench::jobs_from_args();
     // A small pair pool is the point: with more clients than distinct
     // pairs, concurrent identical requests are guaranteed, so the
-    // coalescing window and the stores have duplicates to merge.
+    // coalescing queue and the stores have duplicates to merge.
     let pool_size = arg_usize("--pairs").unwrap_or(if smoke { 2 } else { 4 });
 
     eprintln!(
         "load_gen: {clients} clients x {requests} requests over {pool_size} pairs \
-         (window {window_ms} ms, query jobs {query_jobs})"
+         (query jobs {query_jobs})"
     );
     let state = ServeState::load(Family::Restaurants, em_eval::ExperimentConfig::smoke())
         .unwrap_or_else(|e| fail(&format!("state load failed: {e}")));
@@ -99,7 +98,6 @@ fn main() {
     let mut server = Server::start(
         Arc::clone(&state),
         ServeOptions {
-            window: Duration::from_millis(window_ms as u64),
             query_jobs,
             read_timeout: Duration::from_secs(30),
             ..ServeOptions::default()

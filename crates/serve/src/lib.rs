@@ -6,13 +6,14 @@
 //! embeddings once and serves `POST /predict` and `POST /explain`.
 //!
 //! The point is cross-request batching: a coalescing front queue
-//! ([`queue::Coalescer`]) merges requests arriving within a batching
-//! window into one `predict_proba_batch` / shared-`PerturbationSet` pass
-//! through the `EvalSession` stores, so concurrent clients share matcher
-//! queries. `em-obs` spans (`serve/accept`, `serve/parse`,
-//! `serve/coalesce`, `serve/query`) attribute per-request latency, and
-//! store-hit counters prove the sharing. See DESIGN.md § Serving
-//! architecture.
+//! ([`queue::Coalescer`]) merges the requests that arrive while the
+//! dispatcher is busy into one `predict_proba_batch` /
+//! shared-`PerturbationSet` pass through the `EvalSession` stores, so
+//! concurrent clients share matcher queries, while a request that finds
+//! the dispatcher idle runs at once. `em-obs` spans (`serve/accept`,
+//! `serve/parse`, `serve/coalesce`, `serve/query`) attribute
+//! per-request latency, and store-hit counters prove the sharing. See
+//! DESIGN.md § Serving architecture.
 //!
 //! ## Protocol
 //!
@@ -22,7 +23,7 @@
 //! POST /explain  {"pairs":[...],"explainer":"crew"}   // label optional
 //!   -> {"results":[{"explainer":"crew","explanation":{...}}]}
 //! GET  /health   -> {"status":"ok"}
-//! GET  /stats    -> store hit/miss/coalesced counters
+//! GET  /stats    -> store hit/miss/coalesced counters, queue depth
 //! ```
 //!
 //! Attribute arrays must match the serving context's schema width.

@@ -3,25 +3,26 @@
 //! `EvalSession` stores.
 //!
 //! Connection threads [`submit`](Coalescer::submit) jobs; a single
-//! dispatcher thread blocks in [`next_batch`](Coalescer::next_batch),
-//! which waits for the first job, then keeps collecting until the
-//! batching window closes (or the batch cap is hit). Everything the
-//! window caught is answered by one `predict_proba_batch` call and one
-//! store pass — concurrent requests for the *same* pair collapse to a
-//! single matcher query (visible as explanation-store hits and the
-//! `serve/coalesced` counter).
+//! dispatcher thread blocks in [`next_batch`](Coalescer::next_batch)
+//! only while the queue is empty, then takes everything queued (capped
+//! at `max_batch`). Batching is load-adaptive: a request that reaches
+//! an idle dispatcher runs at once, and requests that arrive while a
+//! batch runs queue up and share the next one. Each batch is answered
+//! by one `predict_proba_batch` call and one store pass — concurrent
+//! requests for the *same* pair collapse to a single matcher query
+//! (visible as explanation-store hits and the `serve/coalesced`
+//! counter).
 
 use em_data::EntityPair;
 use em_eval::{ExplainerKind, ExplanationOutput};
 use std::collections::VecDeque;
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// What a queued job asks of the backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobKind {
-    /// One `predict_proba` answer (batched across the window).
+    /// One match probability (one `predict_proba_batch` call per batch).
     Predict,
     /// One explanation of the given explainer.
     Explain(ExplainerKind),
@@ -96,24 +97,22 @@ struct QueueState {
     draining: bool,
 }
 
-/// The window-batching queue between connection threads and the
+/// The load-adaptive batching queue between connection threads and the
 /// dispatcher.
 pub struct Coalescer {
     inner: Mutex<QueueState>,
     arrived: Condvar,
-    window: Duration,
     max_batch: usize,
 }
 
 impl Coalescer {
-    pub fn new(window: Duration, max_batch: usize) -> Self {
+    pub fn new(max_batch: usize) -> Self {
         Coalescer {
             inner: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 draining: false,
             }),
             arrived: Condvar::new(),
-            window,
             max_batch: max_batch.max(1),
         }
     }
@@ -132,44 +131,32 @@ impl Coalescer {
         Ok(())
     }
 
-    /// Block until work is available, hold the batching window open to
-    /// catch concurrent arrivals, then return everything caught (capped
-    /// at `max_batch`). `None` means the queue is drained *and* empty —
-    /// the dispatcher's signal to exit.
-    pub fn next_batch(&self) -> Option<Vec<Job>> {
+    /// Block while the queue is empty, then move everything queued
+    /// (capped at `max_batch`) onto the end of `batch`. Never waits for
+    /// company: whatever queued up while the caller was busy is the
+    /// batch. `false` means the queue is drained *and* empty — the
+    /// dispatcher's signal to exit.
+    pub fn next_batch(&self, batch: &mut Vec<Job>) -> bool {
         let mut state = self.inner.lock().expect("queue lock poisoned");
         while state.jobs.is_empty() {
             if state.draining {
-                return None;
+                return false;
             }
             state = self.arrived.wait(state).expect("queue lock poisoned");
         }
-        // First job is in: keep the window open for stragglers so they
-        // share the batch (draining skips the wait — flush immediately).
-        let deadline = Instant::now() + self.window;
-        while state.jobs.len() < self.max_batch && !state.draining {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (s, _) = self
-                .arrived
-                .wait_timeout(state, deadline - now)
-                .expect("queue lock poisoned");
-            state = s;
-        }
         let take = state.jobs.len().min(self.max_batch);
-        Some(state.jobs.drain(..take).collect())
+        batch.extend(state.jobs.drain(..take));
+        true
     }
 
     /// Flip the queue into drain mode: `submit` starts refusing, and
-    /// `next_batch` returns any leftovers immediately, then `None`.
+    /// `next_batch` hands out any leftovers, then returns `false`.
     pub fn drain(&self) {
         self.inner.lock().expect("queue lock poisoned").draining = true;
         self.arrived.notify_all();
     }
 
-    /// Jobs currently waiting (diagnostics).
+    /// Jobs currently waiting (reported as `queue_depth` on `/stats`).
     pub fn depth(&self) -> usize {
         self.inner.lock().expect("queue lock poisoned").jobs.len()
     }
@@ -198,51 +185,77 @@ mod tests {
         }
     }
 
+    fn indices(batch: &[Job]) -> Vec<usize> {
+        batch.iter().map(|job| job.index).collect()
+    }
+
     #[test]
-    fn window_batches_concurrent_submissions() {
-        let q = Coalescer::new(Duration::from_millis(50), 16);
+    fn a_lone_job_is_a_batch_of_one() {
+        // An idle dispatcher takes a single arrival at once instead of
+        // holding the batch open for company.
+        let q = Arc::new(Coalescer::new(16));
+        let q2 = Arc::clone(&q);
+        let dispatcher = std::thread::spawn(move || {
+            let mut batch = Vec::new();
+            assert!(q2.next_batch(&mut batch));
+            indices(&batch)
+        });
         let (tx, _rx) = channel();
         assert!(q.submit(test_job(&tx, 0)).is_ok());
-        assert!(q.submit(test_job(&tx, 1)).is_ok());
-        assert!(q.submit(test_job(&tx, 2)).is_ok());
-        let batch = q.next_batch().unwrap();
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch[2].index, 2);
+        assert_eq!(dispatcher.join().unwrap(), vec![0]);
+    }
+
+    #[test]
+    fn jobs_queued_while_busy_share_one_batch() {
+        let q = Coalescer::new(16);
+        let (tx, _rx) = channel();
+        // No `next_batch` call is pending: the dispatcher is busy.
+        for i in 0..3 {
+            assert!(q.submit(test_job(&tx, i)).is_ok());
+        }
+        let mut batch = Vec::new();
+        assert!(q.next_batch(&mut batch));
+        assert_eq!(indices(&batch), vec![0, 1, 2]);
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
     fn max_batch_caps_one_flush() {
-        let q = Coalescer::new(Duration::from_millis(1), 2);
+        let q = Coalescer::new(2);
         let (tx, _rx) = channel();
         for i in 0..5 {
             assert!(q.submit(test_job(&tx, i)).is_ok());
         }
-        assert_eq!(q.next_batch().unwrap().len(), 2);
-        assert_eq!(q.next_batch().unwrap().len(), 2);
-        assert_eq!(q.next_batch().unwrap().len(), 1);
+        let mut batch = Vec::new();
+        for want in [vec![0, 1], vec![2, 3], vec![4]] {
+            batch.clear();
+            assert!(q.next_batch(&mut batch));
+            assert_eq!(indices(&batch), want);
+        }
     }
 
     #[test]
     fn drain_flushes_leftovers_then_ends() {
-        let q = Coalescer::new(Duration::from_secs(10), 16);
+        let q = Coalescer::new(16);
         let (tx, _rx) = channel();
         assert!(q.submit(test_job(&tx, 0)).is_ok());
         q.drain();
-        // Long window must NOT hold the flush open once draining.
-        let t0 = Instant::now();
-        assert_eq!(q.next_batch().unwrap().len(), 1);
-        assert!(t0.elapsed() < Duration::from_secs(5));
-        assert!(q.next_batch().is_none());
+        let mut batch = Vec::new();
+        assert!(q.next_batch(&mut batch));
+        assert_eq!(batch.len(), 1);
+        batch.clear();
+        assert!(!q.next_batch(&mut batch));
+        assert!(batch.is_empty());
         assert!(q.submit(test_job(&tx, 1)).is_err());
     }
 
     #[test]
     fn next_batch_wakes_on_drain_while_blocked() {
-        let q = Arc::new(Coalescer::new(Duration::from_millis(1), 4));
+        let q = Arc::new(Coalescer::new(4));
         let q2 = Arc::clone(&q);
-        let waiter = std::thread::spawn(move || q2.next_batch());
-        std::thread::sleep(Duration::from_millis(20));
+        let waiter = std::thread::spawn(move || q2.next_batch(&mut Vec::new()));
+        std::thread::sleep(std::time::Duration::from_millis(20));
         q.drain();
-        assert!(waiter.join().unwrap().is_none());
+        assert!(!waiter.join().unwrap());
     }
 }

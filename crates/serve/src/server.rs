@@ -11,8 +11,10 @@
 //!   block on the reply channel. A slow or malformed client costs its
 //!   own thread a timeout, never the accept loop or the dispatcher.
 //! * **dispatcher thread** — the only caller into the matcher/stores.
-//!   Each [`Coalescer::next_batch`] window is deduplicated (bucketed by
-//!   pair fingerprint, shared only between equal pairs), answered with one `predict_proba_batch` plus one
+//!   Each [`Coalescer::next_batch`] batch (whatever queued while the
+//!   previous one ran) is deduplicated (bucketed by pair fingerprint,
+//!   shared only between equal pairs) and answered with one
+//!   `predict_proba_batch`, whose replies go out at once, plus one
 //!   `EvalSession` store pass (explanations fan out over `em-pool`),
 //!   then fanned back out to every coalesced duplicate.
 //!
@@ -35,7 +37,7 @@ use em_synth::Family;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -89,8 +91,6 @@ impl ServeState {
 pub struct ServeOptions {
     /// Bind address; port 0 picks a free port (tests, load_gen).
     pub addr: String,
-    /// How long the dispatcher holds a batch open for stragglers.
-    pub window: Duration,
     /// Maximum jobs answered in one batch pass.
     pub max_batch: usize,
     /// `em-pool` fan-out width for the explanation stage of a batch.
@@ -110,7 +110,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             addr: "127.0.0.1:0".to_string(),
-            window: Duration::from_millis(2),
             max_batch: 64,
             query_jobs: em_pool::default_threads(),
             read_timeout: Duration::from_secs(5),
@@ -141,27 +140,57 @@ pub struct ServerHandle {
 pub struct Server;
 
 impl Server {
-    /// Bind, spawn the accept and dispatcher threads, and return
-    /// immediately. The bound address (with the resolved port) is on the
-    /// handle.
+    /// Bind, start the dispatcher and then the accept thread, and return
+    /// once both are running. The bound address (with the resolved port)
+    /// is on the handle.
+    ///
+    /// A thread counts as running once it has allocated the buffer it
+    /// reuses for its whole life. That first allocation binds the thread
+    /// to a malloc arena, and glibc hands out the arenas of exited
+    /// threads last-released-first. Starting the threads one at a time,
+    /// in the reverse of the order shutdown joins them, gives a new
+    /// dispatcher the arena its predecessor freed its explanations into.
+    /// Left to race the connection threads for an arena, it could land
+    /// in a different one after each restart, and every arena keeps the
+    /// memory freed into it, so peak RSS would grow.
     pub fn start(state: Arc<ServeState>, opts: ServeOptions) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&opts.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             state,
-            queue: Coalescer::new(opts.window, opts.max_batch),
+            queue: Coalescer::new(opts.max_batch),
             stop: AtomicBool::new(false),
             opts,
         });
 
+        let (ready, running) = channel();
         let dispatcher = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || dispatch_loop(&shared))
+            std::thread::spawn(move || {
+                let batch = Vec::with_capacity(shared.opts.max_batch);
+                let _ = ready.send(());
+                dispatch_loop(&shared, batch)
+            })
         };
+        if running.recv().is_err() {
+            let _ = dispatcher.join();
+            return Err(std::io::Error::other("dispatcher thread failed to start"));
+        }
+        let (ready, running) = channel();
         let accept = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&shared, listener))
+            std::thread::spawn(move || {
+                let handlers = Vec::with_capacity(shared.opts.max_connections);
+                let _ = ready.send(());
+                accept_loop(&shared, listener, handlers)
+            })
         };
+        if running.recv().is_err() {
+            let _ = accept.join();
+            shared.queue.drain();
+            let _ = dispatcher.join();
+            return Err(std::io::Error::other("accept thread failed to start"));
+        }
 
         Ok(ServerHandle {
             addr,
@@ -214,8 +243,7 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+fn accept_loop(shared: &Arc<Shared>, listener: TcpListener, mut handlers: Vec<JoinHandle<()>>) {
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -323,11 +351,12 @@ fn error_body(message: &str) -> String {
 fn route(shared: &Arc<Shared>, req: &Request) -> Result<String, ServeError> {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => Ok("{\"status\":\"ok\"}".to_string()),
-        ("GET", "/stats") => Ok(stats_body(&shared.state)),
-        ("POST", "/predict") => handle_batch(shared, &req.body, None),
+        ("GET", "/stats") => Ok(stats_body(shared)),
+        ("POST", "/predict") => handle_batch(shared, &parse_body(&req.body)?, JobKind::Predict),
         ("POST", "/explain") => {
-            let explainer = explainer_from_body(&req.body)?;
-            handle_batch(shared, &req.body, Some(explainer))
+            let doc = parse_body(&req.body)?;
+            let explainer = explainer_from(&doc)?;
+            handle_batch(shared, &doc, JobKind::Explain(explainer))
         }
         ("GET" | "POST", "/predict" | "/explain" | "/health" | "/stats") => {
             Err(ServeError::MethodNotAllowed)
@@ -336,7 +365,8 @@ fn route(shared: &Arc<Shared>, req: &Request) -> Result<String, ServeError> {
     }
 }
 
-fn stats_body(state: &ServeState) -> String {
+fn stats_body(shared: &Shared) -> String {
+    let state = &shared.state;
     let stats_json = |s: em_eval::StoreStats| {
         format!(
             "{{\"hits\":{},\"misses\":{},\"coalesced\":{},\"evictions\":{}}}",
@@ -344,16 +374,16 @@ fn stats_body(state: &ServeState) -> String {
         )
     };
     format!(
-        "{{\"matcher\":\"{}\",\"family\":\"{:?}\",\"explanations\":{},\"perturbation_sets\":{}}}",
+        "{{\"matcher\":\"{}\",\"family\":\"{:?}\",\"explanations\":{},\"perturbation_sets\":{},\"queue_depth\":{}}}",
         state.matcher_kind.label(),
         state.ctx.family,
         stats_json(state.session.explanations().stats()),
         stats_json(state.session.explanations().perturbation_stats()),
+        shared.queue.depth(),
     )
 }
 
-fn explainer_from_body(body: &[u8]) -> Result<ExplainerKind, ServeError> {
-    let doc = parse_body(body)?;
+fn explainer_from(doc: &Json) -> Result<ExplainerKind, ServeError> {
     match doc.get("explainer") {
         None => Ok(ExplainerKind::Crew),
         Some(v) => {
@@ -374,18 +404,10 @@ fn parse_body(body: &[u8]) -> Result<Json, ServeError> {
     parse_json(text).map_err(|e| ServeError::BadRequest(format!("invalid JSON: {e}")))
 }
 
-/// Parse the request's pairs, enqueue one job per pair, block for the
+/// Read the request's pairs, enqueue one job per pair, block for the
 /// replies, and serialise the response in request order.
-fn handle_batch(
-    shared: &Arc<Shared>,
-    body: &[u8],
-    explainer: Option<ExplainerKind>,
-) -> Result<String, ServeError> {
-    let pairs = parse_pairs(shared, body)?;
-    let kind = match explainer {
-        Some(e) => JobKind::Explain(e),
-        None => JobKind::Predict,
-    };
+fn handle_batch(shared: &Arc<Shared>, doc: &Json, kind: JobKind) -> Result<String, ServeError> {
+    let pairs = parse_pairs(shared, doc)?;
     let (tx, rx) = channel();
     let n = pairs.len();
     for (index, pair) in pairs.into_iter().enumerate() {
@@ -448,8 +470,7 @@ pub fn explanation_json(output: &ExplanationOutput, state: &ServeState) -> Strin
     }
 }
 
-fn parse_pairs(shared: &Arc<Shared>, body: &[u8]) -> Result<Vec<EntityPair>, ServeError> {
-    let doc = parse_body(body)?;
+fn parse_pairs(shared: &Arc<Shared>, doc: &Json) -> Result<Vec<EntityPair>, ServeError> {
     let items = doc
         .get("pairs")
         .and_then(Json::as_array)
@@ -496,24 +517,42 @@ fn parse_pairs(shared: &Arc<Shared>, body: &[u8]) -> Result<Vec<EntityPair>, Ser
         .collect()
 }
 
-/// The dispatcher: one batch window at a time, dedup → one backend pass
-/// → fan replies back out.
-fn dispatch_loop(shared: &Arc<Shared>) {
-    while let Some(batch) = shared.queue.next_batch() {
+/// The dispatcher: one batch at a time, dedup → one backend pass → fan
+/// replies back out. `batch` is refilled in place for the thread's whole
+/// life.
+fn dispatch_loop(shared: &Arc<Shared>, mut batch: Vec<Job>) {
+    while shared.queue.next_batch(&mut batch) {
         em_obs::counter!("serve/batches", 1);
-        run_batch(shared, batch);
+        batch = run_batch(&shared.state, shared.opts.query_jobs, batch);
+    }
+}
+
+/// Where one job's answer goes: its request's reply channel and its
+/// position in that request.
+struct Waiter {
+    kind: JobKind,
+    index: usize,
+    reply: Sender<(usize, Result<Reply, ServeError>)>,
+}
+
+impl Waiter {
+    fn send(&self, result: Result<Reply, ServeError>) {
+        // A dead receiver (client hung up) is fine — drop the reply.
+        let _ = self.reply.send((self.index, result));
     }
 }
 
 /// Work items of one batch after dedup: unique pairs in first-seen
-/// order, plus the job list for the reply fan-out.
+/// order, plus each job's waiter and slot for the reply fan-out.
 struct Deduped {
-    jobs: Vec<(Job, usize)>,
+    jobs: Vec<(Waiter, usize)>,
     predict_pairs: Vec<EntityPair>,
     explain_work: Vec<(ExplainerKind, EntityPair)>,
+    /// The batch's own buffer, emptied, for the dispatcher to refill.
+    spent: Vec<Job>,
 }
 
-fn coalesce(batch: Vec<Job>) -> Deduped {
+fn coalesce(mut batch: Vec<Job>) -> Deduped {
     // `(kind, fingerprint)` → the unique slots filed under it. The
     // fingerprint only buckets: a job shares a slot only with an equal
     // pair, so two pairs whose fingerprints collide get separate answers.
@@ -522,11 +561,18 @@ fn coalesce(batch: Vec<Job>) -> Deduped {
     let mut explain_work: Vec<(ExplainerKind, EntityPair)> = Vec::new();
     let mut jobs = Vec::with_capacity(batch.len());
     let mut coalesced = 0usize;
-    for job in batch {
-        let bucket = buckets.entry((job.kind, job.fingerprint)).or_default();
-        let shared = bucket.iter().copied().find(|&slot| match job.kind {
-            JobKind::Predict => predict_pairs[slot] == job.pair,
-            JobKind::Explain(_) => explain_work[slot].1 == job.pair,
+    for Job {
+        kind,
+        pair,
+        fingerprint,
+        index,
+        reply,
+    } in batch.drain(..)
+    {
+        let bucket = buckets.entry((kind, fingerprint)).or_default();
+        let shared = bucket.iter().copied().find(|&slot| match kind {
+            JobKind::Predict => predict_pairs[slot] == pair,
+            JobKind::Explain(_) => explain_work[slot].1 == pair,
         });
         let slot = match shared {
             Some(slot) => {
@@ -534,13 +580,13 @@ fn coalesce(batch: Vec<Job>) -> Deduped {
                 slot
             }
             None => {
-                let slot = match job.kind {
+                let slot = match kind {
                     JobKind::Predict => {
-                        predict_pairs.push(job.pair.clone());
+                        predict_pairs.push(pair);
                         predict_pairs.len() - 1
                     }
-                    JobKind::Explain(kind) => {
-                        explain_work.push((kind, job.pair.clone()));
+                    JobKind::Explain(explainer) => {
+                        explain_work.push((explainer, pair));
                         explain_work.len() - 1
                     }
                 };
@@ -548,7 +594,7 @@ fn coalesce(batch: Vec<Job>) -> Deduped {
                 slot
             }
         };
-        jobs.push((job, slot));
+        jobs.push((Waiter { kind, index, reply }, slot));
     }
     // Always bump the counter (even by 0) so the trace schema check can
     // assert its presence on quiet runs.
@@ -557,29 +603,34 @@ fn coalesce(batch: Vec<Job>) -> Deduped {
         jobs,
         predict_pairs,
         explain_work,
+        spent: batch,
     }
 }
 
-fn run_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
+/// Answer one batch and hand back its emptied buffer. Predict replies
+/// go out as soon as `predict_proba_batch` returns, so a predict never
+/// waits for a cold CREW run that shares its batch.
+fn run_batch(state: &ServeState, query_jobs: usize, batch: Vec<Job>) -> Vec<Job> {
     let deduped = {
         let _span = em_obs::root_span!("serve/coalesce");
         coalesce(batch)
     };
-
-    let state = &shared.state;
-    let (probabilities, explanations) = {
+    let explanations = {
         let _span = em_obs::root_span!("serve/query");
-        let probabilities = if deduped.predict_pairs.is_empty() {
-            Vec::new()
-        } else {
-            state.matcher.predict_proba_batch(&deduped.predict_pairs)
-        };
+        if !deduped.predict_pairs.is_empty() {
+            let probabilities = state.matcher.predict_proba_batch(&deduped.predict_pairs);
+            for (waiter, slot) in &deduped.jobs {
+                if waiter.kind == JobKind::Predict {
+                    waiter.send(Ok(Reply::Probability(probabilities[*slot])));
+                }
+            }
+        }
         // Explanations fan out over the pool; results land in
         // index-keyed slots so the fan-out order never shows.
         let n = deduped.explain_work.len();
         let slots: Vec<OnceLock<Result<Arc<ExplanationOutput>, ServeError>>> =
             (0..n).map(|_| OnceLock::new()).collect();
-        em_pool::global().run(n, shared.opts.query_jobs, &|i| {
+        em_pool::global().run(n, query_jobs, &|i| {
             let (kind, pair) = &deduped.explain_work[i];
             let result = state
                 .session
@@ -587,24 +638,21 @@ fn run_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
                 .map_err(|e| ServeError::Internal(e.to_string()));
             let _ = slots[i].set(result);
         });
-        let explanations: Vec<Result<Arc<ExplanationOutput>, ServeError>> = slots
+        slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
                     .unwrap_or_else(|| Err(ServeError::Internal("explain slot unfilled".into())))
             })
-            .collect();
-        (probabilities, explanations)
+            .collect::<Vec<_>>()
     };
 
-    for (job, slot) in deduped.jobs {
-        let result = match job.kind {
-            JobKind::Predict => Ok(Reply::Probability(probabilities[slot])),
-            JobKind::Explain(_) => explanations[slot].clone().map(Reply::Explanation),
-        };
-        // A dead receiver (client hung up) is fine — drop the reply.
-        let _ = job.reply.send((job.index, result));
+    for (waiter, slot) in &deduped.jobs {
+        if let JobKind::Explain(_) = waiter.kind {
+            waiter.send(explanations[*slot].clone().map(Reply::Explanation));
+        }
     }
+    deduped.spent
 }
 
 #[cfg(test)]
@@ -660,5 +708,35 @@ mod tests {
             .map(|(job, slot)| (job.index, *slot))
             .collect();
         assert_eq!(slots, vec![(0, 0), (1, 1), (2, 0), (3, 0), (4, 1), (5, 0)]);
+    }
+
+    #[test]
+    fn run_batch_answers_predicts_before_the_explain_fan_out() {
+        let state =
+            ServeState::load(Family::Restaurants, ExperimentConfig::smoke()).expect("state load");
+        let pair = state.ctx.pairs_to_explain(1).remove(0).pair;
+        let (reply, replies) = channel();
+        let batch = [JobKind::Explain(ExplainerKind::Crew), JobKind::Predict]
+            .into_iter()
+            .enumerate()
+            .map(|(index, kind)| Job {
+                kind,
+                fingerprint: pair_fingerprint(&pair),
+                pair: pair.clone(),
+                index,
+                reply: reply.clone(),
+            })
+            .collect();
+        drop(reply);
+        let spent = run_batch(&state, 1, batch);
+        assert!(spent.is_empty());
+        let order: Vec<usize> = replies
+            .iter()
+            .map(|(index, result)| {
+                assert!(result.is_ok(), "job {index} failed");
+                index
+            })
+            .collect();
+        assert_eq!(order, vec![1, 0], "the predict must not wait for CREW");
     }
 }

@@ -104,7 +104,10 @@ EOF
 echo "==> serve smoke (load_gen --smoke --trace) + coalescing schema check"
 # The bin itself hard-fails unless the session stores prove query
 # sharing (hits + coalesced > 0 under concurrent identical pairs); this
-# leg additionally checks the serve span tree and its counters.
+# leg additionally checks the serve span tree and its counters. Batching
+# is load-adaptive: a request that finds the dispatcher idle is a batch
+# of one, and requests that queue behind a busy dispatcher share the
+# next batch.
 cargo run --release --locked --offline -p em-bench --bin load_gen -- --smoke --trace
 python3 - results/TRACE_serve_smoke.json <<'EOF'
 import json, sys
@@ -118,8 +121,9 @@ for root in ("serve/accept", "serve/parse", "serve/coalesce", "serve/query"):
 counters = {c["name"]: c["value"] for c in trace["counters"]}
 for name in ("serve/requests", "serve/batches", "serve/connections"):
     assert counters.get(name, 0) > 0, f"counter {name!r} missing or zero"
-# Reported even when nothing merged in a window; at load_gen's
-# clients > pairs ratio something always does.
+# Reported even when nothing merged: identical requests merge in a batch
+# only when they queued behind a busy dispatcher together; the rest are
+# store hits.
 assert "serve/coalesced" in counters, "counter 'serve/coalesced' missing"
 print(f"serve trace ok: {counters['serve/requests']} requests in "
       f"{counters['serve/batches']} batches, "
@@ -319,8 +323,11 @@ EOF
 
     echo "==> serve regression gate (vs committed baseline)"
     # Gates the fresh artifacts from the plain serve leg above against
-    # the pre-run snapshot of the committed baseline. Latency rows are
-    # ms-scale single-shot percentiles — gate like the kernels bench.
+    # the pre-run snapshot of the committed baseline. Rows are
+    # single-shot — gate like the kernels bench. At smoke scale the
+    # latency and per-request rows are sub-ms and fall under the 1 ms
+    # floor; the run's total (about 4 ms) stays gated, so a per-batch
+    # wait would show up there.
     for row in explain_p99 predict_p99 ns_per_request shared_queries; do
         grep -q "\"group\": \"serve\", \"id\": \"$row\"" results/BENCH_serve_smoke.json \
             || { echo "serve/$row row missing from bench JSON" >&2; exit 1; }

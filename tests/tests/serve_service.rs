@@ -6,7 +6,7 @@
 
 use em_eval::{EvalSession, ExperimentConfig};
 use em_serve::{
-    explanation_json, num_json, parse_json, write_request, Connection, Limits, Response,
+    explanation_json, num_json, parse_json, write_request, Connection, Json, Limits, Response,
     ServeOptions, ServeState, Server, ServerHandle,
 };
 use em_synth::Family;
@@ -84,7 +84,6 @@ fn served_responses_equal_direct_session_calls_at_any_job_count() {
             Arc::clone(&state),
             ServeOptions {
                 query_jobs,
-                window: Duration::from_millis(10),
                 ..ServeOptions::default()
             },
         );
@@ -141,19 +140,13 @@ fn served_responses_equal_direct_session_calls_at_any_job_count() {
 }
 
 /// Four concurrent clients asking for the same explanation must share
-/// one backend computation — whether the sharing happens in the
-/// coalescing window (batch dedup) or in the explanation store, the
-/// store can only record ONE miss for the four requests.
+/// one backend computation — whether the sharing happens in one batch
+/// (dedup) or in the explanation store, the store can only record ONE
+/// miss for the four requests.
 #[test]
 fn concurrent_identical_explains_share_one_computation() {
     let state = fresh_state();
-    let server = start(
-        Arc::clone(&state),
-        ServeOptions {
-            window: Duration::from_millis(100),
-            ..ServeOptions::default()
-        },
-    );
+    let server = start(Arc::clone(&state), ServeOptions::default());
     let addr = server.addr();
     let pair = state.ctx.pairs_to_explain(1).remove(0).pair;
     let body = explain_body(&pair);
@@ -252,7 +245,9 @@ fn malformed_clients_get_clean_errors_and_server_survives() {
     assert_eq!(resp.status, 200);
     let stats = request(addr, "GET", "/stats", "");
     assert_eq!(stats.status, 200);
-    assert!(parse_json(std::str::from_utf8(&stats.body).unwrap()).is_ok());
+    let stats = parse_json(std::str::from_utf8(&stats.body).unwrap()).expect("stats JSON");
+    // Nothing is in flight: the live queue is empty.
+    assert_eq!(stats.get("queue_depth").and_then(Json::as_f64), Some(0.0));
 }
 
 /// A client that stalls mid-request is timed out (408) without wedging

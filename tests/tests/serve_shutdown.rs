@@ -10,14 +10,56 @@
 //! (`serve/accept`, `serve/parse`, `serve/coalesce`, `serve/query`) as
 //! well-formed depth-0 spans with coherent counters.
 
-use em_eval::ExperimentConfig;
-use em_serve::{write_request, Connection, Limits, ServeOptions, ServeState, Server};
+use em_data::EntityPair;
+use em_eval::{EvalSession, ExperimentConfig};
+use em_matchers::Matcher;
+use em_serve::{
+    parse_json, write_request, Connection, Json, Limits, Response, ServeOptions, ServeState, Server,
+};
 use em_synth::Family;
-use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
-fn explain_body(pair: &em_data::EntityPair) -> String {
+/// Holds every `predict_proba_batch` call until the gate opens, and
+/// reports each call as it enters: a way to keep the dispatcher busy for
+/// exactly as long as the test needs.
+struct GatedMatcher {
+    inner: Arc<dyn Matcher>,
+    open: Mutex<bool>,
+    opened: Condvar,
+    entered: Sender<()>,
+}
+
+impl GatedMatcher {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+impl Matcher for GatedMatcher {
+    fn name(&self) -> &str {
+        "gated"
+    }
+
+    fn predict_proba(&self, pair: &EntityPair) -> f64 {
+        self.predict_proba_batch(std::slice::from_ref(pair))[0]
+    }
+
+    fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
+        let _ = self.entered.send(());
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+        drop(open);
+        self.inner.predict_proba_batch(pairs)
+    }
+}
+
+fn predict_body(pair: &EntityPair) -> String {
     let side = |r: &em_data::Record| {
         let vals: Vec<String> = r
             .values()
@@ -33,50 +75,109 @@ fn explain_body(pair: &em_data::EntityPair) -> String {
     )
 }
 
+fn connect(addr: SocketAddr) -> Connection<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    Connection::new(stream)
+}
+
+fn send(conn: &mut Connection<TcpStream>, method: &str, path: &str, body: &str) -> Response {
+    write_request(conn.stream_mut(), method, path, body.as_bytes()).expect("write");
+    conn.read_response(&Limits::default()).expect("response")
+}
+
+/// Ask the server again and again until `done` accepts its answer.
+fn poll(
+    conn: &mut Connection<TcpStream>,
+    path: &str,
+    what: &str,
+    done: impl Fn(&Response) -> bool,
+) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done(&send(conn, "GET", path, "")) {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn shutdown_answers_queued_requests_releases_the_port_and_leaves_a_clean_trace() {
     em_obs::set_enabled(true);
     em_obs::reset();
 
-    let state =
-        Arc::new(ServeState::load(Family::Restaurants, ExperimentConfig::smoke()).expect("load"));
-    let body = explain_body(&state.ctx.pairs_to_explain(1).remove(0).pair);
-
-    // A long coalescing window guarantees the request is still QUEUED
-    // (parked in the window, not yet dispatched) when shutdown starts.
-    let mut server = Server::start(
-        Arc::clone(&state),
-        ServeOptions {
-            window: Duration::from_millis(200),
-            ..ServeOptions::default()
-        },
-    )
-    .expect("server start");
-    let addr = server.addr();
-
-    let client = std::thread::spawn(move || {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let mut conn = Connection::new(stream);
-        write_request(conn.stream_mut(), "POST", "/explain", body.as_bytes()).expect("write");
-        conn.read_response(&Limits::default()).expect("response")
+    let loaded = ServeState::load(Family::Restaurants, ExperimentConfig::smoke()).expect("load");
+    let (entered, entries) = channel();
+    let gate = Arc::new(GatedMatcher {
+        inner: Arc::clone(&loaded.matcher),
+        open: Mutex::new(false),
+        opened: Condvar::new(),
+        entered,
     });
+    let state = Arc::new(ServeState {
+        session: EvalSession::new(ExperimentConfig::smoke()),
+        ctx: Arc::clone(&loaded.ctx),
+        matcher: Arc::clone(&gate) as Arc<dyn Matcher>,
+        matcher_kind: loaded.matcher_kind,
+        threshold: loaded.threshold,
+    });
+    let bodies: Vec<String> = state
+        .ctx
+        .pairs_to_explain(2)
+        .iter()
+        .map(|lp| predict_body(&lp.pair))
+        .collect();
 
-    // Let the request land in the coalescing window, then pull the plug
-    // mid-window. The drain must still answer it.
-    std::thread::sleep(Duration::from_millis(50));
-    server.shutdown();
+    let mut server =
+        Server::start(Arc::clone(&state), ServeOptions::default()).expect("server start");
+    let addr = server.addr();
+    // A keep-alive connection for watching the server's state.
+    let mut probe = connect(addr);
+    let client = |body: String| {
+        std::thread::spawn(move || send(&mut connect(addr), "POST", "/predict", &body))
+    };
 
-    let resp = client.join().expect("client thread");
-    assert_eq!(
-        resp.status,
-        200,
-        "queued request dropped during shutdown: {}",
-        String::from_utf8_lossy(&resp.body)
+    // The first predict holds the dispatcher inside the gated matcher, so
+    // the second one stays QUEUED behind it.
+    let in_flight = client(bodies[0].clone());
+    entries
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the dispatcher never ran the first predict");
+    let queued = client(bodies[1].clone());
+    poll(
+        &mut probe,
+        "/stats",
+        "the second predict to queue",
+        |resp| {
+            let doc = parse_json(std::str::from_utf8(&resp.body).unwrap()).expect("stats JSON");
+            doc.get("queue_depth").and_then(Json::as_f64) == Some(1.0)
+        },
     );
-    assert!(!resp.body.is_empty(), "empty body for a drained request");
+
+    // Start shutdown with one request in flight and one queued. Once the
+    // stop flag is up the server announces `Connection: close`; only then
+    // does the gate open.
+    let stopping = std::thread::spawn(move || {
+        server.shutdown();
+        server
+    });
+    poll(&mut probe, "/health", "shutdown to start", |resp| {
+        resp.header("connection") == Some("close")
+    });
+    gate.open();
+
+    for (what, handle) in [("in-flight", in_flight), ("queued", queued)] {
+        let resp = handle.join().expect("client thread");
+        assert_eq!(
+            resp.status,
+            200,
+            "{what} request dropped during shutdown: {}",
+            String::from_utf8_lossy(&resp.body)
+        );
+        assert!(!resp.body.is_empty(), "empty body for the {what} request");
+    }
+    let mut server = stopping.join().expect("shutdown thread");
 
     // Shutdown is idempotent.
     server.shutdown();
@@ -91,16 +192,7 @@ fn shutdown_answers_queued_requests_releases_the_port_and_leaves_a_clean_trace()
     )
     .expect("rebinding the same address after shutdown must succeed");
     assert_eq!(reborn.addr(), addr);
-    {
-        let stream = TcpStream::connect(addr).expect("connect to reborn");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        let mut conn = Connection::new(stream);
-        write_request(conn.stream_mut(), "GET", "/health", b"").expect("write");
-        let health = conn.read_response(&Limits::default()).expect("health");
-        assert_eq!(health.status, 200);
-    }
+    assert_eq!(send(&mut connect(addr), "GET", "/health", "").status, 200);
     drop(reborn); // Drop is a shutdown too.
 
     // The span tree: all four serve roots present, at depth 0, each
@@ -128,11 +220,12 @@ fn shutdown_answers_queued_requests_releases_the_port_and_leaves_a_clean_trace()
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
     };
-    // explain + health = at least two requests parsed.
-    assert!(counter("serve/requests").expect("serve/requests counter") >= 2);
-    assert!(counter("serve/batches").expect("serve/batches counter") >= 1);
-    assert!(counter("serve/connections").expect("serve/connections counter") >= 2);
-    // Always published, even when nothing merged in the window.
+    // Two predicts, the probe's polls and the reborn server's health check.
+    assert!(counter("serve/requests").expect("serve/requests counter") >= 4);
+    // The in-flight and the queued predict ran one batch each.
+    assert_eq!(counter("serve/batches"), Some(2));
+    assert!(counter("serve/connections").expect("serve/connections counter") >= 4);
+    // Always published, even when nothing merged.
     assert!(
         counter("serve/coalesced").is_some(),
         "serve/coalesced counter missing"
