@@ -162,55 +162,6 @@ fn bench_dense_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_simd(c: &mut Criterion) {
-    use em_linalg::kernels::{self, KernelBackend};
-    use em_rngs::{Rng, SeedableRng};
-    let mut rng = em_rngs::rngs::StdRng::seed_from_u64(0x51d0);
-    const D: usize = 1024;
-    let a: Vec<f64> = (0..D).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let b_: Vec<f64> = (0..D).map(|_| rng.gen_range(-1.0..1.0)).collect();
-    let m = Matrix::from_fn(64, D, |_, _| rng.gen_range(-1.0..1.0));
-
-    let mut backends = vec![KernelBackend::Scalar];
-    if kernels::avx2_available() {
-        backends.push(KernelBackend::Avx2);
-    }
-
-    let mut group = c.benchmark_group("simd");
-    group.sample_size(10);
-    for &backend in &backends {
-        let name = backend.name();
-        group.bench_with_input(BenchmarkId::new("dot", name), &a, |bench, a| {
-            bench.iter(|| kernels::dot_with(backend, a, &b_));
-        });
-        group.bench_with_input(BenchmarkId::new("cosine", name), &a, |bench, a| {
-            bench.iter(|| kernels::cosine_with(backend, a, &b_));
-        });
-        group.bench_with_input(BenchmarkId::new("axpy", name), &a, |bench, a| {
-            let mut y = b_.clone();
-            bench.iter(|| {
-                kernels::axpy_with(backend, 0.5, a, &mut y);
-                y[0]
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("softmax", name), &a, |bench, a| {
-            let mut out = Vec::new();
-            bench.iter(|| {
-                kernels::softmax_into_with(backend, a, &mut out);
-                out[0]
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("matvec", name), &m, |bench, m| {
-            let mut out = vec![0.0; 64];
-            bench.iter(|| {
-                kernels::matvec_into_with(backend, 64, D, m.as_slice(), &a, &mut out);
-                out[0]
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_distance_matrix(c: &mut Criterion) {
     let (train, _, _) = splits();
     // A realistic explained-pair word list: every word of eight records,
@@ -311,7 +262,6 @@ criterion_group!(
     bench_tokenize,
     bench_extract_batch,
     bench_dense_kernels,
-    bench_simd,
     bench_distance_matrix,
     bench_explain_single,
 );

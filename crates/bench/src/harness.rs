@@ -139,7 +139,7 @@ pub fn smoke_requested() -> bool {
 
 /// `--filter <name>` / `--filter=<name>` on the command line: run only
 /// the benchmark groups whose name contains `<name>` (substring match),
-/// e.g. `cargo bench --bench kernels -- --filter simd`.
+/// e.g. `cargo bench --bench kernels -- --filter cosine`.
 pub fn filter_requested() -> Option<String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {

@@ -18,13 +18,11 @@
 //! assert_eq!(words.len(), 6); // every word tagged with side + attribute
 //! ```
 
-pub mod blocking;
 pub mod csv;
 pub mod dataset;
 pub mod schema;
 pub mod tokens;
 
-pub use blocking::{block, candidates_to_pairs, BlockingResult, BlockingStrategy};
 pub use csv::{
     dataset_from_joined_csv, dataset_from_magellan, dataset_to_joined_csv, parse_csv,
     record_table_from_csv, write_csv, RecordTable,
@@ -48,8 +46,6 @@ pub enum DataError {
     InvalidSplit { train: f64, validation: f64 },
     /// CSV syntax or structure error.
     CsvParse { line: usize, message: String },
-    /// Invalid blocking configuration.
-    InvalidBlocking { message: String },
 }
 
 impl std::fmt::Display for DataError {
@@ -76,7 +72,6 @@ impl std::fmt::Display for DataError {
             DataError::CsvParse { line, message } => {
                 write!(f, "CSV error at line {line}: {message}")
             }
-            DataError::InvalidBlocking { message } => write!(f, "invalid blocking: {message}"),
         }
     }
 }

@@ -434,7 +434,7 @@ const DIST_TILE: usize = 32;
 ///
 /// The upper triangle is filled in [`DIST_TILE`]-square tiles rather
 /// than entry-at-a-time so each band of vectors is reused across a whole
-/// tile of SIMD-dispatched dots (see `em_linalg::kernels`). Every entry
+/// tile of four-lane dots (see `em_linalg::kernels`). Every entry
 /// is an independent `dot` + scalar post-processing — no cross-entry
 /// accumulation — so the tile traversal order is bitwise-irrelevant; the
 /// in-module property test pins tiled ≡ per-entry.

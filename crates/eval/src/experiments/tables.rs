@@ -98,7 +98,7 @@ struct PairStats {
 /// The unperturbed base score is queried once, and the four fidelity
 /// metrics share a single batched model query
 /// ([`metrics::fidelity_probes_with_base`]) — identical values to the
-/// individual `*_with_base` forms at a fraction of the dispatches.
+/// individual forms at a fraction of the dispatches.
 fn pair_stats(
     kind: ExplainerKind,
     ctx: &Arc<EvalContext>,

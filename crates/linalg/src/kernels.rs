@@ -1,159 +1,32 @@
-//! Runtime-dispatched SIMD reduction kernels.
+//! Four-lane reduction kernels.
 //!
-//! Every dot-shaped reduction in the workspace funnels into this module.
-//! Two backends implement each kernel:
+//! Every dot-shaped reduction in the workspace funnels into this module,
+//! and each kernel has exactly one implementation: unrolled scalar loops
+//! over four independent accumulators. The accumulation-order policy is
+//! the workspace-wide contract (DESIGN.md, "Hot kernels"):
 //!
-//! - **Scalar** — the four-accumulator unrolled loops introduced with the
-//!   interning pass (PR 7): lane `l` accumulates `Σ_k a[4k+l]·b[4k+l]`,
-//!   lanes combine as `(s0+s2)+(s1+s3)`, and the `len % 4` tail is added
-//!   sequentially.
-//! - **Avx2** — the same loops expressed as AVX2 `f64x4` intrinsics. A
-//!   `_mm256_add_pd(acc, _mm256_mul_pd(x, y))` step performs, per lane,
-//!   exactly the scalar `s_l += a·b` (one IEEE multiply rounding, one IEEE
-//!   add rounding), so vector lane `l` holds bit-for-bit the scalar
-//!   accumulator `s_l` after every step. The horizontal combine stores the
-//!   lanes and sums them in the documented `(s0+s2)+(s1+s3)` order, and
-//!   tails run the identical sequential scalar loop.
+//! - lane `l` accumulates `Σ_k a[4k+l]·b[4k+l]`;
+//! - the lanes combine as `(s0+s2)+(s1+s3)`;
+//! - the `len % 4` tail is added sequentially.
 //!
-//! **FMA is deliberately not used.** A fused multiply-add rounds once
-//! where mul-then-add rounds twice, which would change bits and break the
-//! backend-equivalence contract; the whole point of the dispatch layer is
-//! that backend choice can never change any artifact. The property suite
-//! pins `scalar ≡ avx2` bitwise for every kernel, including all remainder
-//! tail lengths.
-//!
-//! The backend is detected once at startup (`is_x86_feature_detected!`)
-//! and can be forced with `EM_KERNEL=scalar|avx2` — useful for the CI
-//! artifact-identity runs. An unknown value, or requesting `avx2` on a
-//! machine without it, panics rather than silently falling back. In-process
-//! tests use the `*_with(backend, …)` entry points instead of the env var
-//! (env mutation is racy under the threaded test harness).
+//! The order is fixed, so the same inputs give the same bits on every
+//! call and at every thread count. It reassociates the sum relative to a
+//! naive sequential loop, so results may differ from a textbook reference
+//! by `O(n · ε · Σ|aᵢbᵢ|)` (the property suite pins this bound). The
+//! tests below pin the policy itself bitwise at every length 0..=12.
 
-use std::sync::OnceLock;
-
-/// The kernel implementation selected at startup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelBackend {
-    /// Four-accumulator unrolled scalar loops.
-    Scalar,
-    /// AVX2 `f64x4` intrinsics, bitwise-identical to [`KernelBackend::Scalar`].
-    Avx2,
-}
-
-impl KernelBackend {
-    /// Stable lowercase name (matches the `EM_KERNEL` values).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelBackend::Scalar => "scalar",
-            KernelBackend::Avx2 => "avx2",
-        }
-    }
-}
-
-/// True when the running CPU supports AVX2.
-#[inline]
-pub fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-static BACKEND: OnceLock<KernelBackend> = OnceLock::new();
-
-/// The backend every dispatched kernel uses, resolved once per process:
-/// the `EM_KERNEL` override if set, else AVX2 when the CPU has it.
+/// Dot product of two equal-length slices under the four-lane policy.
 ///
-/// # Panics
-/// Panics on an unknown `EM_KERNEL` value, or `EM_KERNEL=avx2` on a CPU
-/// without AVX2 — a forced backend that silently degraded would defeat
-/// the artifact-identity checks that force it.
-#[inline]
-pub fn active_backend() -> KernelBackend {
-    if let Some(b) = BACKEND.get() {
-        return *b;
-    }
-    init_backend()
-}
-
-#[cold]
-fn init_backend() -> KernelBackend {
-    *BACKEND.get_or_init(|| match std::env::var("EM_KERNEL") {
-        Ok(v) if v == "scalar" => KernelBackend::Scalar,
-        Ok(v) if v == "avx2" => {
-            assert!(
-                avx2_available(),
-                "EM_KERNEL=avx2 requested but the CPU does not support AVX2"
-            );
-            KernelBackend::Avx2
-        }
-        Ok(v) => panic!("EM_KERNEL must be `scalar` or `avx2`, got `{v}`"),
-        Err(_) => {
-            if avx2_available() {
-                KernelBackend::Avx2
-            } else {
-                KernelBackend::Scalar
-            }
-        }
-    })
-}
-
-// ---------------------------------------------------------------------------
-// dot
-// ---------------------------------------------------------------------------
-
-/// Dot product under the active backend (see module docs for the
-/// accumulation-order policy both backends share).
+/// Every dot-shaped reduction in the workspace (matvec, cosine,
+/// logistic/MLP forward passes, ridge) goes through this one kernel, so
+/// internal bitwise contracts — batch ≡ scalar prediction, thread
+/// invariance, store ≡ fresh — are unaffected by the reassociation.
 ///
 /// # Panics
 /// Panics if lengths differ.
-/// Dispatch cutoff: reductions shorter than this skip backend dispatch
-/// and run the inlined scalar core directly. Below ~a cache line of
-/// lanes the detection load and outlined AVX2 call cost more than the
-/// kernel itself (the workspace is full of length-4..48 strips — gram
-/// columns, embedding rows, feature blocks). Value-neutral by
-/// construction: the property suite pins scalar ≡ AVX2 bitwise, so
-/// where the cutoff falls can never change a result.
-const DISPATCH_MIN_LEN: usize = 64;
-
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    if a.len() < DISPATCH_MIN_LEN {
-        assert_eq!(a.len(), b.len(), "dot: length mismatch");
-        return dot_scalar(a, b);
-    }
-    dot_with(active_backend(), a, b)
-}
-
-/// [`dot`] with an explicit backend (test/bench entry point).
-///
-/// # Panics
-/// Panics if lengths differ, or on [`KernelBackend::Avx2`] without CPU
-/// support.
-#[inline]
-pub fn dot_with(backend: KernelBackend, a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    match backend {
-        KernelBackend::Scalar => dot_scalar(a, b),
-        // SAFETY: the Avx2 backend is only ever selected (or explicitly
-        // requested) when `avx2_available()` holds; re-checked here so a
-        // hand-constructed backend value cannot fault.
-        KernelBackend::Avx2 => {
-            assert!(
-                avx2_available(),
-                "AVX2 backend requested without CPU support"
-            );
-            unsafe { dot_avx2(a, b) }
-        }
-    }
-}
-
-#[inline]
-fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
     let mut ca = a.chunks_exact(4);
     let mut cb = b.chunks_exact(4);
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
@@ -170,120 +43,31 @@ fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
     sum
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let chunks = a.len() / 4;
-    let mut acc = _mm256_setzero_pd();
-    for i in 0..chunks {
-        let x = _mm256_loadu_pd(a.as_ptr().add(4 * i));
-        let y = _mm256_loadu_pd(b.as_ptr().add(4 * i));
-        // mul then add: two roundings per lane, same as the scalar path.
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(x, y));
-    }
-    let mut lanes = [0.0f64; 4];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-    let mut sum = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-    for (x, y) in a[4 * chunks..].iter().zip(&b[4 * chunks..]) {
-        sum += x * y;
-    }
-    sum
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-unsafe fn dot_avx2(a: &[f64], b: &[f64]) -> f64 {
-    dot_scalar(a, b)
-}
-
-// ---------------------------------------------------------------------------
-// cosine
-// ---------------------------------------------------------------------------
-
-/// Cosine similarity under the active backend; 0.0 when either vector has
-/// zero norm. The AVX2 path fuses the three reductions (`a·b`, `a·a`,
-/// `b·b`) into one memory pass; each of the three sums follows the exact
-/// lane-and-tail sequence of a separate [`dot`] call, so the fusion is
-/// bitwise-neutral.
+/// Euclidean norm of a slice (inherits [`dot`]'s lane order).
 #[inline]
+pub fn norm2(v: &[f64]) -> f64 {
+    dot(v, v).sqrt()
+}
+
+/// Cosine similarity; 0.0 when either vector has zero norm. Three
+/// separate [`dot`] passes (`a·a`, `b·b`, `a·b`): a fused one-pass loop
+/// measured no faster (DESIGN.md, "Hot kernels").
+///
+/// # Panics
+/// Panics if lengths differ.
 pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
-    if a.len() < DISPATCH_MIN_LEN {
-        return cosine_with(KernelBackend::Scalar, a, b);
-    }
-    cosine_with(active_backend(), a, b)
-}
-
-/// [`cosine`] with an explicit backend (test/bench entry point).
-#[inline]
-pub fn cosine_with(backend: KernelBackend, a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "cosine: length mismatch");
-    match backend {
-        KernelBackend::Scalar => {
-            let na = dot_scalar(a, a).sqrt();
-            let nb = dot_scalar(b, b).sqrt();
-            if na == 0.0 || nb == 0.0 {
-                return 0.0;
-            }
-            (dot_scalar(a, b) / (na * nb)).clamp(-1.0, 1.0)
-        }
-        KernelBackend::Avx2 => {
-            assert!(
-                avx2_available(),
-                "AVX2 backend requested without CPU support"
-            );
-            unsafe { cosine_avx2(a, b) }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn cosine_avx2(a: &[f64], b: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let chunks = a.len() / 4;
-    let mut ab = _mm256_setzero_pd();
-    let mut aa = _mm256_setzero_pd();
-    let mut bb = _mm256_setzero_pd();
-    for i in 0..chunks {
-        let x = _mm256_loadu_pd(a.as_ptr().add(4 * i));
-        let y = _mm256_loadu_pd(b.as_ptr().add(4 * i));
-        ab = _mm256_add_pd(ab, _mm256_mul_pd(x, y));
-        aa = _mm256_add_pd(aa, _mm256_mul_pd(x, x));
-        bb = _mm256_add_pd(bb, _mm256_mul_pd(y, y));
-    }
-    let mut lanes = [0.0f64; 4];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), ab);
-    let mut dab = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-    _mm256_storeu_pd(lanes.as_mut_ptr(), aa);
-    let mut daa = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-    _mm256_storeu_pd(lanes.as_mut_ptr(), bb);
-    let mut dbb = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-    for (x, y) in a[4 * chunks..].iter().zip(&b[4 * chunks..]) {
-        dab += x * y;
-        daa += x * x;
-        dbb += y * y;
-    }
-    let na = daa.sqrt();
-    let nb = dbb.sqrt();
+    let na = norm2(a);
+    let nb = norm2(b);
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }
-    (dab / (na * nb)).clamp(-1.0, 1.0)
+    (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
 }
-
-#[cfg(not(target_arch = "x86_64"))]
-unsafe fn cosine_avx2(a: &[f64], b: &[f64]) -> f64 {
-    cosine_with(KernelBackend::Scalar, a, b)
-}
-
-// ---------------------------------------------------------------------------
-// axpy
-// ---------------------------------------------------------------------------
 
 /// `y[i] += s * x[i]` over equal-length slices. Element-wise (no
-/// reduction), so the two backends are trivially bitwise-identical: each
-/// lane performs the same mul-then-add rounding as the scalar loop.
-/// Every strip-accumulation loop in the workspace (dense `matmul`,
+/// reduction): one IEEE multiply and one IEEE add per element. Every
+/// strip-accumulation loop in the workspace (dense `matmul`,
 /// `tr_matvec`, Gram updates, sparse·dense tiles, attention context
 /// vectors) routes through this one kernel.
 ///
@@ -291,187 +75,44 @@ unsafe fn cosine_avx2(a: &[f64], b: &[f64]) -> f64 {
 /// Panics if lengths differ.
 #[inline]
 pub fn axpy(s: f64, x: &[f64], y: &mut [f64]) {
-    if x.len() < DISPATCH_MIN_LEN {
-        assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-        return axpy_scalar(s, x, y);
-    }
-    axpy_with(active_backend(), s, x, y)
-}
-
-/// [`axpy`] with an explicit backend (test/bench entry point).
-#[inline]
-pub fn axpy_with(backend: KernelBackend, s: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    match backend {
-        KernelBackend::Scalar => axpy_scalar(s, x, y),
-        KernelBackend::Avx2 => {
-            assert!(
-                avx2_available(),
-                "AVX2 backend requested without CPU support"
-            );
-            unsafe { axpy_avx2(s, x, y) }
-        }
-    }
-}
-
-#[inline]
-fn axpy_scalar(s: f64, x: &[f64], y: &mut [f64]) {
     for (o, &v) in y.iter_mut().zip(x) {
         *o += s * v;
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn axpy_avx2(s: f64, x: &[f64], y: &mut [f64]) {
-    use std::arch::x86_64::*;
-    let chunks = x.len() / 4;
-    let vs = _mm256_set1_pd(s);
-    for i in 0..chunks {
-        let xv = _mm256_loadu_pd(x.as_ptr().add(4 * i));
-        let yv = _mm256_loadu_pd(y.as_ptr().add(4 * i));
-        _mm256_storeu_pd(
-            y.as_mut_ptr().add(4 * i),
-            _mm256_add_pd(yv, _mm256_mul_pd(vs, xv)),
-        );
-    }
-    for (o, &v) in y[4 * chunks..].iter_mut().zip(&x[4 * chunks..]) {
-        *o += s * v;
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-unsafe fn axpy_avx2(s: f64, x: &[f64], y: &mut [f64]) {
-    axpy_scalar(s, x, y)
-}
-
-// ---------------------------------------------------------------------------
-// matvec_into
-// ---------------------------------------------------------------------------
-
-/// Row-major matrix·vector product into a caller buffer: `out` is cleared
-/// and refilled with one [`dot`] per row. The backend is resolved once for
-/// the whole matrix, so the per-row dots skip the dispatch check.
-///
-/// # Panics
-/// Panics if `data.len() != rows * cols` or `v.len() != cols`.
-#[inline]
-pub fn matvec_into(rows: usize, cols: usize, data: &[f64], v: &[f64], out: &mut Vec<f64>) {
-    let backend = if cols < DISPATCH_MIN_LEN {
-        KernelBackend::Scalar
-    } else {
-        active_backend()
-    };
-    matvec_into_with(backend, rows, cols, data, v, out)
-}
-
-/// [`matvec_into`] with an explicit backend (test/bench entry point).
-pub fn matvec_into_with(
-    backend: KernelBackend,
-    rows: usize,
-    cols: usize,
-    data: &[f64],
-    v: &[f64],
-    out: &mut Vec<f64>,
-) {
-    assert_eq!(data.len(), rows * cols, "matvec: data length mismatch");
-    assert_eq!(v.len(), cols, "vector length must equal cols");
-    out.clear();
-    out.reserve(rows);
-    match backend {
-        KernelBackend::Scalar => {
-            for i in 0..rows {
-                out.push(dot_scalar(&data[i * cols..(i + 1) * cols], v));
-            }
-        }
-        KernelBackend::Avx2 => {
-            assert!(
-                avx2_available(),
-                "AVX2 backend requested without CPU support"
-            );
-            unsafe { matvec_into_avx2(rows, cols, data, v, out) }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matvec_into_avx2(rows: usize, cols: usize, data: &[f64], v: &[f64], out: &mut Vec<f64>) {
-    for i in 0..rows {
-        // Same-feature call: inlines into this function, no re-dispatch.
-        out.push(dot_avx2(&data[i * cols..(i + 1) * cols], v));
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-unsafe fn matvec_into_avx2(rows: usize, cols: usize, data: &[f64], v: &[f64], out: &mut Vec<f64>) {
-    for i in 0..rows {
-        out.push(dot_scalar(&data[i * cols..(i + 1) * cols], v));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// softmax_into
-// ---------------------------------------------------------------------------
-
-/// Numerically-stable softmax into a caller buffer. Both backends share a
-/// four-lane policy so they are bitwise-identical:
+/// Numerically-stable softmax into a caller buffer (cleared first), for
+/// hot loops that evaluate many distributions without reallocating.
+/// Four-lane policy:
 ///
 /// 1. **max** — lane `l` tracks `max` over `xs[4k+l]` by strict-`>`
-///    selection (AVX2: `_CMP_GT_OQ` + blend, replicating the scalar
-///    `if x > m { m = x }`, including its keep-on-NaN behaviour); the four
-///    lane maxima are folded sequentially in lane order 0..3, then the
-///    tail. Selection, not arithmetic, so a ±0.0 lane choice is
-///    value-neutral in the `(x - max).exp()` shift that consumes it.
-/// 2. **exp** — element-wise scalar `(x - max).exp()` in both backends
-///    (`exp` is a libm call; vectorising it would change bits).
+///    selection (`if x > m { m = x }`, so a NaN never replaces a lane
+///    maximum); the four lane maxima are folded sequentially in lane
+///    order 0..3, then the tail. Selection, not arithmetic, so a ±0.0
+///    lane choice is value-neutral in the `(x - max).exp()` shift that
+///    consumes it.
+/// 2. **exp** — element-wise `(x - max).exp()`.
 /// 3. **normalise** — the sum of exponentials uses [`dot`]'s four-lane
-///    accumulation policy; the final divide is element-wise (one IEEE
-///    divide per element in either backend).
+///    accumulation policy; the final divide is element-wise.
 ///
 /// Empty input clears `out` and returns.
-#[inline]
 pub fn softmax_into(xs: &[f64], out: &mut Vec<f64>) {
-    if xs.len() < DISPATCH_MIN_LEN {
-        return softmax_into_with(KernelBackend::Scalar, xs, out);
-    }
-    softmax_into_with(active_backend(), xs, out)
-}
-
-/// [`softmax_into`] with an explicit backend (test/bench entry point).
-pub fn softmax_into_with(backend: KernelBackend, xs: &[f64], out: &mut Vec<f64>) {
     out.clear();
     if xs.is_empty() {
         return;
     }
-    match backend {
-        KernelBackend::Scalar => {
-            let m = max4_scalar(xs);
-            out.extend(xs.iter().map(|x| (x - m).exp()));
-            let s = sum4_scalar(out);
-            for e in out.iter_mut() {
-                *e /= s;
-            }
-        }
-        KernelBackend::Avx2 => {
-            assert!(
-                avx2_available(),
-                "AVX2 backend requested without CPU support"
-            );
-            unsafe {
-                let m = max4_avx2(xs);
-                out.extend(xs.iter().map(|x| (x - m).exp()));
-                let s = sum4_avx2(out);
-                div_avx2(out, s);
-            }
-        }
+    let m = max4(xs);
+    out.extend(xs.iter().map(|x| (x - m).exp()));
+    let s = sum4(out);
+    for e in out.iter_mut() {
+        *e /= s;
     }
 }
 
 /// Four-lane maximum: lane `l` folds `xs[4k+l]` by strict-`>` selection,
 /// lanes combine sequentially 0..3, tail appended sequentially.
 #[inline]
-fn max4_scalar(xs: &[f64]) -> f64 {
+fn max4(xs: &[f64]) -> f64 {
     let mut chunks = xs.chunks_exact(4);
     let mut m = [f64::NEG_INFINITY; 4];
     for x in &mut chunks {
@@ -497,7 +138,7 @@ fn max4_scalar(xs: &[f64]) -> f64 {
 
 /// Four-lane sum with [`dot`]'s combine order (`(s0+s2)+(s1+s3)` + tail).
 #[inline]
-fn sum4_scalar(xs: &[f64]) -> f64 {
+fn sum4(xs: &[f64]) -> f64 {
     let mut chunks = xs.chunks_exact(4);
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     for x in &mut chunks {
@@ -513,227 +154,106 @@ fn sum4_scalar(xs: &[f64]) -> f64 {
     sum
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn max4_avx2(xs: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let chunks = xs.len() / 4;
-    let mut m = _mm256_set1_pd(f64::NEG_INFINITY);
-    for i in 0..chunks {
-        let x = _mm256_loadu_pd(xs.as_ptr().add(4 * i));
-        // Strict-greater selection (not `_mm256_max_pd`, whose NaN and
-        // ±0.0 choices differ from the scalar `if x > m`): where x > m,
-        // take x; on NaN the compare is false and m is kept.
-        let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(x, m);
-        m = _mm256_blendv_pd(m, x, gt);
-    }
-    let mut lanes = [f64::NEG_INFINITY; 4];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), m);
-    let mut best = f64::NEG_INFINITY;
-    for &lane in &lanes {
-        if lane > best {
-            best = lane;
-        }
-    }
-    for &x in &xs[4 * chunks..] {
-        if x > best {
-            best = x;
-        }
-    }
-    best
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn sum4_avx2(xs: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    let chunks = xs.len() / 4;
-    let mut acc = _mm256_setzero_pd();
-    for i in 0..chunks {
-        acc = _mm256_add_pd(acc, _mm256_loadu_pd(xs.as_ptr().add(4 * i)));
-    }
-    let mut lanes = [0.0f64; 4];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-    let mut sum = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-    for &x in &xs[4 * chunks..] {
-        sum += x;
-    }
-    sum
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn div_avx2(xs: &mut [f64], s: f64) {
-    use std::arch::x86_64::*;
-    let chunks = xs.len() / 4;
-    let vs = _mm256_set1_pd(s);
-    for i in 0..chunks {
-        let x = _mm256_loadu_pd(xs.as_ptr().add(4 * i));
-        // IEEE divide is exact per lane: same bits as the scalar `/`.
-        _mm256_storeu_pd(xs.as_mut_ptr().add(4 * i), _mm256_div_pd(x, vs));
-    }
-    for x in &mut xs[4 * chunks..] {
-        *x /= s;
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-unsafe fn max4_avx2(xs: &[f64]) -> f64 {
-    max4_scalar(xs)
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-unsafe fn sum4_avx2(xs: &[f64]) -> f64 {
-    sum4_scalar(xs)
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-unsafe fn div_avx2(xs: &mut [f64], s: f64) {
-    for x in xs.iter_mut() {
-        *x /= s;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_rngs::{Rng, SeedableRng};
 
-    #[test]
-    fn backend_names_round_trip() {
-        assert_eq!(KernelBackend::Scalar.name(), "scalar");
-        assert_eq!(KernelBackend::Avx2.name(), "avx2");
+    /// The documented policy written out longhand: per-lane sums over
+    /// `4k+l`, then `(s0+s2)+(s1+s3)`, then the tail in order.
+    fn policy_sum(terms: &[f64]) -> f64 {
+        let full = terms.len() / 4 * 4;
+        let mut s = [0.0f64; 4];
+        for (i, &t) in terms[..full].iter().enumerate() {
+            s[i % 4] += t;
+        }
+        let mut sum = (s[0] + s[2]) + (s[1] + s[3]);
+        for &t in &terms[full..] {
+            sum += t;
+        }
+        sum
     }
 
-    #[test]
-    fn active_backend_is_stable() {
-        // Whatever is detected, repeated calls agree (OnceLock).
-        assert_eq!(active_backend(), active_backend());
+    /// The documented max policy: strict-`>` per lane, lanes folded 0..3,
+    /// then the tail.
+    fn policy_max(xs: &[f64]) -> f64 {
+        let full = xs.len() / 4 * 4;
+        let mut m = [f64::NEG_INFINITY; 4];
+        for (i, &x) in xs[..full].iter().enumerate() {
+            if x > m[i % 4] {
+                m[i % 4] = x;
+            }
+        }
+        let mut best = f64::NEG_INFINITY;
+        for x in m.into_iter().chain(xs[full..].iter().copied()) {
+            if x > best {
+                best = x;
+            }
+        }
+        best
+    }
+
+    fn products(a: &[f64], b: &[f64]) -> Vec<f64> {
+        a.iter().zip(b).map(|(x, y)| x * y).collect()
     }
 
     #[test]
     fn scalar_dot_matches_documented_policy() {
-        // 5 elements: one full chunk + tail of 1.
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let b = [0.5, 0.25, -1.0, 2.0, -0.5];
-        let expect: f64 = ((1.0 * 0.5 + 3.0 * -1.0) + (2.0 * 0.25 + 4.0 * 2.0)) + 5.0 * -0.5;
-        assert_eq!(
-            dot_with(KernelBackend::Scalar, &a, &b).to_bits(),
-            expect.to_bits()
+        // Magnitudes spread over many decades make float addition order
+        // visible in the bits, so a reordered kernel cannot pass by luck.
+        let mut rng = em_rngs::rngs::StdRng::seed_from_u64(0x4c41_4e45);
+        let (mut dot_order_seen, mut sum_order_seen) = (false, false);
+        for n in 0..=12 {
+            let mut wide = || rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-6..6));
+            let a: Vec<f64> = (0..n).map(|_| wide()).collect();
+            let b: Vec<f64> = (0..n).map(|_| wide()).collect();
+
+            let ab = policy_sum(&products(&a, &b));
+            assert_eq!(dot(&a, &b).to_bits(), ab.to_bits(), "dot, n={n}");
+            let sequential: f64 = products(&a, &b).iter().sum();
+            dot_order_seen |= sequential.to_bits() != ab.to_bits();
+
+            let (na, nb) = (
+                policy_sum(&products(&a, &a)).sqrt(),
+                policy_sum(&products(&b, &b)).sqrt(),
+            );
+            let cos = if na == 0.0 || nb == 0.0 {
+                0.0
+            } else {
+                (ab / (na * nb)).clamp(-1.0, 1.0)
+            };
+            assert_eq!(cosine(&a, &b).to_bits(), cos.to_bits(), "cosine, n={n}");
+
+            // Logits whose exponentials spread over ~14 decades.
+            let xs: Vec<f64> = (0..n).map(|_| rng.gen_range(-16.0..16.0)).collect();
+            let mut out = vec![f64::NAN; 3];
+            softmax_into(&xs, &mut out);
+            assert_eq!(out.len(), n);
+            if n == 0 {
+                continue;
+            }
+            let m = policy_max(&xs);
+            assert_eq!(max4(&xs).to_bits(), m.to_bits(), "max, n={n}");
+            let exps: Vec<f64> = xs.iter().map(|x| (x - m).exp()).collect();
+            let s = policy_sum(&exps);
+            assert_eq!(sum4(&exps).to_bits(), s.to_bits(), "sum, n={n}");
+            sum_order_seen |= exps.iter().sum::<f64>().to_bits() != s.to_bits();
+            for (got, e) in out.iter().zip(&exps) {
+                assert_eq!(got.to_bits(), (e / s).to_bits(), "softmax, n={n}");
+            }
+        }
+        assert!(
+            dot_order_seen && sum_order_seen,
+            "inputs too tame to expose lane order"
         );
     }
 
     #[test]
     fn softmax_handles_empty_and_singleton() {
         let mut out = vec![f64::NAN; 3];
-        softmax_into_with(KernelBackend::Scalar, &[], &mut out);
+        softmax_into(&[], &mut out);
         assert!(out.is_empty());
-        softmax_into_with(KernelBackend::Scalar, &[42.0], &mut out);
+        softmax_into(&[42.0], &mut out);
         assert_eq!(out, vec![1.0]);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use propcheck::prelude::*;
-
-    /// Vectors long enough to exercise full chunks plus every tail length
-    /// 0..8 (the strategy range spans 0..=24 elements).
-    fn kernel_vec() -> impl Strategy<Value = Vec<f64>> {
-        propcheck::collection::vec(-1000.0f64..1000.0, 0..25)
-    }
-
-    proptest! {
-        #[test]
-        fn dot_scalar_equals_avx2_bitwise(a in kernel_vec(), b in kernel_vec()) {
-            prop_assume!(avx2_available());
-            let n = a.len().min(b.len());
-            let (a, b) = (&a[..n], &b[..n]);
-            let s = dot_with(KernelBackend::Scalar, a, b);
-            let v = dot_with(KernelBackend::Avx2, a, b);
-            prop_assert_eq!(s.to_bits(), v.to_bits());
-        }
-
-        #[test]
-        fn cosine_scalar_equals_avx2_bitwise(a in kernel_vec(), b in kernel_vec()) {
-            prop_assume!(avx2_available());
-            let n = a.len().min(b.len());
-            let (a, b) = (&a[..n], &b[..n]);
-            let s = cosine_with(KernelBackend::Scalar, a, b);
-            let v = cosine_with(KernelBackend::Avx2, a, b);
-            prop_assert_eq!(s.to_bits(), v.to_bits());
-        }
-
-        #[test]
-        fn axpy_scalar_equals_avx2_bitwise(
-            s in -100.0f64..100.0,
-            x in kernel_vec(),
-            y in kernel_vec(),
-        ) {
-            prop_assume!(avx2_available());
-            let n = x.len().min(y.len());
-            let (x, y0) = (&x[..n], &y[..n]);
-            let mut ys = y0.to_vec();
-            let mut yv = y0.to_vec();
-            axpy_with(KernelBackend::Scalar, s, x, &mut ys);
-            axpy_with(KernelBackend::Avx2, s, x, &mut yv);
-            for (a, b) in ys.iter().zip(&yv) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-
-        #[test]
-        fn matvec_scalar_equals_avx2_bitwise(
-            rows in 0usize..6,
-            cols in 0usize..11,
-            seed in 0u64..1000,
-        ) {
-            prop_assume!(avx2_available());
-            use em_rngs::{Rng, SeedableRng};
-            let mut rng = em_rngs::rngs::StdRng::seed_from_u64(seed);
-            let data: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-10.0..10.0)).collect();
-            let v: Vec<f64> = (0..cols).map(|_| rng.gen_range(-10.0..10.0)).collect();
-            // Dirty buffers must be fully overwritten by both backends.
-            let mut os = vec![f64::NAN; 2];
-            let mut ov = vec![f64::NAN; 5];
-            matvec_into_with(KernelBackend::Scalar, rows, cols, &data, &v, &mut os);
-            matvec_into_with(KernelBackend::Avx2, rows, cols, &data, &v, &mut ov);
-            prop_assert_eq!(os.len(), rows);
-            prop_assert_eq!(ov.len(), rows);
-            for (a, b) in os.iter().zip(&ov) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-
-        #[test]
-        fn softmax_scalar_equals_avx2_bitwise(xs in kernel_vec()) {
-            prop_assume!(avx2_available());
-            let mut os = vec![f64::NAN; 1];
-            let mut ov = vec![f64::NAN; 7];
-            softmax_into_with(KernelBackend::Scalar, &xs, &mut os);
-            softmax_into_with(KernelBackend::Avx2, &xs, &mut ov);
-            prop_assert_eq!(os.len(), xs.len());
-            prop_assert_eq!(ov.len(), xs.len());
-            for (a, b) in os.iter().zip(&ov) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-
-        #[test]
-        fn every_tail_length_is_covered_exactly(tail in 0usize..8, seed in 0u64..500) {
-            prop_assume!(avx2_available());
-            use em_rngs::{Rng, SeedableRng};
-            let mut rng = em_rngs::rngs::StdRng::seed_from_u64(seed);
-            // Two full chunks plus the exact tail under test.
-            let n = 8 + tail;
-            let a: Vec<f64> = (0..n).map(|_| rng.gen_range(-1e6..1e6)).collect();
-            let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-1e6..1e6)).collect();
-            let s = dot_with(KernelBackend::Scalar, &a, &b);
-            let v = dot_with(KernelBackend::Avx2, &a, &b);
-            prop_assert_eq!(s.to_bits(), v.to_bits());
-            let cs = cosine_with(KernelBackend::Scalar, &a, &b);
-            let cv = cosine_with(KernelBackend::Avx2, &a, &b);
-            prop_assert_eq!(cs.to_bits(), cv.to_bits());
-        }
     }
 }

@@ -21,6 +21,7 @@
 // Index-based loops are kept where they mirror the textbook formulation
 // of the numeric kernels; iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
+#![forbid(unsafe_code)]
 pub mod kernels;
 pub mod matrix;
 pub mod qr;
@@ -29,8 +30,8 @@ pub mod sparse;
 pub mod stats;
 pub mod svd;
 
-pub use kernels::{active_backend, axpy, KernelBackend};
-pub use matrix::{cosine, dot, norm2, sq_dist, Matrix};
+pub use kernels::{axpy, cosine, dot, norm2};
+pub use matrix::{sq_dist, Matrix};
 pub use solve::{cholesky, ridge, ridge_regression, solve_spd, RidgeFit};
 pub use sparse::SparseMatrix;
 pub use svd::{randomized_svd, randomized_svd_sparse, symmetric_eigen, SvdOptions, TruncatedSvd};
@@ -96,7 +97,7 @@ mod proptests {
     }
 
     /// The naive sequential reduction the accumulation-order policy in
-    /// [`matrix::dot`] is measured against.
+    /// [`kernels::dot`] is measured against.
     fn naive_dot(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| x * y).sum()
     }

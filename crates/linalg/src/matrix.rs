@@ -1,6 +1,7 @@
 //! Dense row-major matrix with the small set of operations the explainer
 //! stack needs: products, transposes, slicing and norms.
 
+pub use crate::kernels::{cosine, dot, norm2};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -165,7 +166,8 @@ impl Matrix {
     /// Panics if `v.len() != self.cols()`.
     pub fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
         assert_eq!(v.len(), self.cols, "vector length must equal cols");
-        crate::kernels::matvec_into(self.rows, self.cols, &self.data, v, out);
+        out.clear();
+        out.extend((0..self.rows).map(|i| dot(self.row(i), v)));
     }
 
     /// `self^T * v` without materialising the transpose.
@@ -302,43 +304,6 @@ impl fmt::Debug for Matrix {
         }
         write!(f, "]")
     }
-}
-
-/// Dot product of two equal-length slices, in four accumulator lanes.
-///
-/// Accumulation-order policy (the workspace-wide contract; DESIGN.md
-/// "Hot kernels"): lane `l` accumulates `Σ_k a[4k+l]·b[4k+l]`, the lanes
-/// combine as `(s0+s2)+(s1+s3)`, and the `len % 4` tail is added
-/// sequentially. This order is **fixed and deterministic** — the same
-/// inputs give the same bits on every call, thread count, and kernel
-/// backend (the AVX2 path maps vector lane `l` onto accumulator `s_l`;
-/// see [`crate::kernels`]) — but it reassociates the sum relative to a
-/// naive sequential loop, so results may differ from a textbook reference
-/// by `O(n · ε · Σ|aᵢbᵢ|)` (the property suite pins this bound). Every
-/// dot-shaped reduction in the workspace (matvec, cosine, logistic/MLP
-/// forward passes, ridge) goes through this one kernel, so internal
-/// bitwise contracts — batch ≡ scalar prediction, thread invariance,
-/// store ≡ fresh — are unaffected by the reassociation.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    crate::kernels::dot(a, b)
-}
-
-/// Euclidean norm of a slice (inherits [`dot`]'s lane order).
-#[inline]
-pub fn norm2(v: &[f64]) -> f64 {
-    dot(v, v).sqrt()
-}
-
-/// Cosine similarity; returns 0.0 when either vector has zero norm.
-/// Built on the [`dot`] lane policy, so backend choice cannot change its
-/// bits (the AVX2 path fuses the three reductions into one memory pass;
-/// see [`crate::kernels::cosine`]).
-pub fn cosine(a: &[f64], b: &[f64]) -> f64 {
-    crate::kernels::cosine(a, b)
 }
 
 /// Squared Euclidean distance.

@@ -41,14 +41,6 @@ const ROW_BLOCK: usize = 64;
 /// the dense [`Matrix::matmul`] documented above.
 const COL_BLOCK: usize = 128;
 
-/// Column-block width of the blocked CSR [`SparseMatrix::matvec`] and the
-/// width threshold above which it replaces the simple row loop. Blocks of
-/// 4096 `f64`s keep the gathered strip of the input vector inside L1/L2
-/// while each row's entries are consumed in their stored (ascending)
-/// order — so the blocked traversal is bitwise-identical to the simple
-/// one (see `matvec` docs).
-const MATVEC_BLOCK_COLS: usize = 4096;
-
 /// Dense-row-free CSR matrix of `f64` values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseMatrix {
@@ -198,30 +190,13 @@ impl SparseMatrix {
         }
     }
 
-    /// Matrix-vector product.
-    ///
-    /// Wide matrices (`cols > MATVEC_BLOCK_COLS`) take the cache-blocked
-    /// path: the gathers from `v` are grouped by column block so the hot
-    /// strip of `v` stays resident instead of being streamed once per row.
-    /// Blocking is bitwise-neutral — each row still accumulates its stored
-    /// entries in ascending column order, exactly like the simple loop
-    /// (pinned by the property suite) — because a row's cursor only ever
-    /// advances, and column blocks are visited in ascending order.
+    /// Matrix-vector product: each row accumulates its stored entries in
+    /// ascending column order.
     ///
     /// # Panics
     /// Panics if `v.len() != self.cols()`.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.cols, "vector length must equal cols");
-        if self.cols > MATVEC_BLOCK_COLS {
-            self.matvec_blocked(v)
-        } else {
-            self.matvec_simple(v)
-        }
-    }
-
-    /// Reference row-at-a-time product (narrow matrices and the bitwise
-    /// baseline the blocked path is tested against).
-    fn matvec_simple(&self, v: &[f64]) -> Vec<f64> {
         (0..self.rows)
             .map(|i| {
                 let (cols, vals) = self.row(i);
@@ -232,31 +207,6 @@ impl SparseMatrix {
                 acc
             })
             .collect()
-    }
-
-    /// Column-block-outer product: per-row cursors sweep each row's
-    /// entries once, block by block, accumulating straight into `out[i]`
-    /// in the same ascending-column order as [`Self::matvec_simple`].
-    fn matvec_blocked(&self, v: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.rows];
-        let mut cursor: Vec<usize> = self.row_ptr[..self.rows].to_vec();
-        let mut b0 = 0usize;
-        while b0 < self.cols {
-            let b1 = (b0 + MATVEC_BLOCK_COLS).min(self.cols);
-            for i in 0..self.rows {
-                let end = self.row_ptr[i + 1];
-                let mut k = cursor[i];
-                let mut acc = out[i];
-                while k < end && (self.col_idx[k] as usize) < b1 {
-                    acc += self.values[k] * v[self.col_idx[k] as usize];
-                    k += 1;
-                }
-                out[i] = acc;
-                cursor[i] = k;
-            }
-            b0 = b1;
-        }
-        out
     }
 
     /// Sparse·dense product `self * other`, parallelised over row blocks
@@ -429,42 +379,5 @@ mod tests {
         assert_eq!(a.nnz(), 0);
         assert_eq!(a.matvec(&[1.0, 2.0, 3.0]), vec![0.0, 0.0, 0.0]);
         assert_eq!(a.frobenius_norm(), 0.0);
-    }
-
-    use propcheck::prelude::*;
-
-    proptest! {
-        #[test]
-        fn blocked_matvec_matches_simple_bitwise(
-            rows in 1usize..20,
-            density in 1usize..6,
-            seed in 0u64..500,
-        ) {
-            use em_rngs::{Rng, SeedableRng};
-            let mut rng = em_rngs::rngs::StdRng::seed_from_u64(seed);
-            // Wide enough to span several column blocks, sparse enough
-            // that many rows contribute nothing to a given block.
-            let cols = MATVEC_BLOCK_COLS * 2 + 37;
-            let mut entries = Vec::new();
-            for r in 0..rows {
-                for _ in 0..density {
-                    let c = rng.gen_range(0..cols as u32);
-                    entries.push((r as u32, c, rng.gen_range(-10.0f64..10.0)));
-                }
-            }
-            let a = SparseMatrix::from_triplets(rows, cols, entries);
-            let v: Vec<f64> = (0..cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let simple = a.matvec_simple(&v);
-            let blocked = a.matvec_blocked(&v);
-            for (x, y) in simple.iter().zip(&blocked) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-            // The public entry point routes wide matrices through the
-            // blocked path without changing bits either.
-            let public = a.matvec(&v);
-            for (x, y) in simple.iter().zip(&public) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
     }
 }

@@ -1,6 +1,8 @@
 //! Descriptive statistics and rank correlations used by the evaluation
 //! metrics (stability, agreement, significance summaries).
 
+pub use crate::kernels::softmax_into;
+
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -164,17 +166,6 @@ pub fn softmax(xs: &[f64]) -> Vec<f64> {
     let mut out = Vec::new();
     softmax_into(xs, &mut out);
     out
-}
-
-/// [`softmax`] into a caller-provided buffer (cleared first), for hot
-/// loops that evaluate many distributions without reallocating.
-/// Identical arithmetic and accumulation order to the allocating form,
-/// so the two are bitwise-interchangeable. Delegates to the dispatched
-/// kernel layer ([`crate::kernels::softmax_into`]), whose shared
-/// four-lane max/sum policy makes the scalar and AVX2 backends
-/// bitwise-identical.
-pub fn softmax_into(xs: &[f64], out: &mut Vec<f64>) {
-    crate::kernels::softmax_into(xs, out);
 }
 
 /// Two-sided paired sign test p-value: under H0 (no difference), the

@@ -513,7 +513,7 @@ fn direction_stats(queries: &[Vec<f64>], keys: &[Vec<f64>], temperature: f64) ->
             .map(|k| em_linalg::cosine(q, k) * temperature)
             .collect();
         let attn = softmax(&sims);
-        // Attention-weighted context vector (same SIMD-routed axpy as the
+        // Attention-weighted context vector (same `em_linalg::axpy` as the
         // cached path, keeping the two paths bitwise in sync).
         let mut ctx = vec![0.0; q.len()];
         for (&a, k) in attn.iter().zip(keys) {

@@ -10,10 +10,9 @@ use em_data::{EntityPair, TokenizedPair};
 use em_matchers::Matcher;
 
 /// Probability of the unperturbed pair — the base score every fidelity
-/// metric compares against. Each metric re-derives this when called through
-/// its plain form; an evaluation loop that computes several metrics for the
-/// same `(matcher, pair)` should call this once and use the `*_with_base`
-/// variants to avoid repeated identical model queries.
+/// metric compares against. Each plain metric queries it exactly once; an
+/// evaluation loop scoring the headline metrics of one `(matcher, pair)`
+/// calls this once and passes it to [`fidelity_probes_with_base`].
 pub fn base_probability(matcher: &dyn Matcher, tokenized: &TokenizedPair) -> f64 {
     matcher.predict_proba(&tokenized.apply_mask(&vec![true; tokenized.len()]))
 }
@@ -85,12 +84,13 @@ pub fn deletion_curve(
         return Err(crate::MetricError::EmptyPair);
     }
     let base = base_probability(matcher, tokenized);
-    deletion_curve_with_base(matcher, tokenized, units, fractions, base)
+    deletion_curve_from(matcher, tokenized, units, fractions, base)
 }
 
-/// [`deletion_curve`] with a precomputed base probability. All deletion
-/// counterfactuals go through one `predict_proba_batch` call.
-pub fn deletion_curve_with_base(
+/// [`deletion_curve`] of a non-empty pair whose base probability is
+/// known. All deletion counterfactuals go through one
+/// `predict_proba_batch` call.
+fn deletion_curve_from(
     matcher: &dyn Matcher,
     tokenized: &TokenizedPair,
     units: &[ExplanationUnit],
@@ -98,9 +98,6 @@ pub fn deletion_curve_with_base(
     base: f64,
 ) -> Result<Vec<(f64, f64)>, crate::MetricError> {
     let n = tokenized.len();
-    if n == 0 {
-        return Err(crate::MetricError::EmptyPair);
-    }
     let toward_match = base >= matcher.threshold();
     let order = deletion_order(units, toward_match);
     let mut probes: Vec<EntityPair> = Vec::with_capacity(fractions.len());
@@ -135,27 +132,12 @@ pub fn aopc_deletion(
     if tokenized.len() == 0 {
         return Err(crate::MetricError::EmptyPair);
     }
-    let base = base_probability(matcher, tokenized);
-    aopc_deletion_with_base(matcher, tokenized, units, fractions, base)
-}
-
-/// [`aopc_deletion`] with a precomputed base probability.
-pub fn aopc_deletion_with_base(
-    matcher: &dyn Matcher,
-    tokenized: &TokenizedPair,
-    units: &[ExplanationUnit],
-    fractions: &[f64],
-    base: f64,
-) -> Result<f64, crate::MetricError> {
     if fractions.is_empty() {
         return Err(crate::MetricError::EmptyFractionGrid);
     }
-    if tokenized.len() == 0 {
-        return Err(crate::MetricError::EmptyPair);
-    }
-    let toward_match = base >= matcher.threshold();
-    let base_cs = class_score(base, toward_match);
-    let curve = deletion_curve_with_base(matcher, tokenized, units, fractions, base)?;
+    let base = base_probability(matcher, tokenized);
+    let base_cs = class_score(base, base >= matcher.threshold());
+    let curve = deletion_curve_from(matcher, tokenized, units, fractions, base)?;
     Ok(curve.iter().map(|&(_, cs)| base_cs - cs).sum::<f64>() / curve.len() as f64)
 }
 
@@ -168,21 +150,6 @@ pub fn sufficiency(
     units: &[ExplanationUnit],
     fraction: f64,
 ) -> Result<f64, crate::MetricError> {
-    if tokenized.len() == 0 {
-        return Err(crate::MetricError::EmptyPair);
-    }
-    let base = base_probability(matcher, tokenized);
-    sufficiency_with_base(matcher, tokenized, units, fraction, base)
-}
-
-/// [`sufficiency`] with a precomputed base probability.
-pub fn sufficiency_with_base(
-    matcher: &dyn Matcher,
-    tokenized: &TokenizedPair,
-    units: &[ExplanationUnit],
-    fraction: f64,
-    base: f64,
-) -> Result<f64, crate::MetricError> {
     let n = tokenized.len();
     if n == 0 {
         return Err(crate::MetricError::EmptyPair);
@@ -190,7 +157,7 @@ pub fn sufficiency_with_base(
     if !(0.0..=1.0).contains(&fraction) {
         return Err(crate::MetricError::InvalidFraction(fraction));
     }
-    let toward_match = base >= matcher.threshold();
+    let toward_match = base_probability(matcher, tokenized) >= matcher.threshold();
     let order = deletion_order(units, toward_match);
     let k = ((n as f64) * fraction).round().max(1.0) as usize;
     let mut mask = vec![false; n];
@@ -216,23 +183,9 @@ pub fn comprehensiveness(
         return Err(crate::MetricError::EmptyPair);
     }
     let base = base_probability(matcher, tokenized);
-    comprehensiveness_with_base(matcher, tokenized, units, fraction, base)
-}
-
-/// [`comprehensiveness`] with a precomputed base probability.
-pub fn comprehensiveness_with_base(
-    matcher: &dyn Matcher,
-    tokenized: &TokenizedPair,
-    units: &[ExplanationUnit],
-    fraction: f64,
-    base: f64,
-) -> Result<f64, crate::MetricError> {
-    if tokenized.len() == 0 {
-        return Err(crate::MetricError::EmptyPair);
-    }
-    let toward_match = base >= matcher.threshold();
-    let curve = deletion_curve_with_base(matcher, tokenized, units, &[fraction], base)?;
-    Ok(class_score(base, toward_match) - curve[0].1)
+    let base_cs = class_score(base, base >= matcher.threshold());
+    let curve = deletion_curve_from(matcher, tokenized, units, &[fraction], base)?;
+    Ok(base_cs - curve[0].1)
 }
 
 /// Does deleting the single most-relevant unit flip the hard decision?
@@ -241,31 +194,16 @@ pub fn decision_flip(
     tokenized: &TokenizedPair,
     units: &[ExplanationUnit],
 ) -> Result<bool, crate::MetricError> {
-    if tokenized.len() == 0 {
-        return Err(crate::MetricError::EmptyPair);
-    }
-    let base = base_probability(matcher, tokenized);
-    decision_flip_with_base(matcher, tokenized, units, base)
-}
-
-/// [`decision_flip`] with a precomputed base probability.
-pub fn decision_flip_with_base(
-    matcher: &dyn Matcher,
-    tokenized: &TokenizedPair,
-    units: &[ExplanationUnit],
-    base: f64,
-) -> Result<bool, crate::MetricError> {
     let n = tokenized.len();
     if n == 0 {
         return Err(crate::MetricError::EmptyPair);
     }
-    let full = vec![true; n];
-    let before = base >= matcher.threshold();
+    let before = base_probability(matcher, tokenized) >= matcher.threshold();
     let ranked = relevance_ranked_units(units, before);
     let Some(top) = ranked.first() else {
         return Ok(false);
     };
-    let mut mask = full;
+    let mut mask = vec![true; n];
     for &i in &top.member_indices {
         if i < n {
             mask[i] = false;
@@ -295,23 +233,20 @@ pub fn unit_deletion_curve(
         return Err(crate::MetricError::EmptyPair);
     }
     let base = base_probability(matcher, tokenized);
-    unit_deletion_curve_with_base(matcher, tokenized, units, max_units, base)
+    Ok(unit_curve_from(matcher, tokenized, units, max_units, base))
 }
 
-/// [`unit_deletion_curve`] with a precomputed base probability. The
-/// `max_units` deletion counterfactuals go through one
+/// [`unit_deletion_curve`] of a non-empty pair whose base probability is
+/// known. The `max_units` deletion counterfactuals go through one
 /// `predict_proba_batch` call.
-pub fn unit_deletion_curve_with_base(
+fn unit_curve_from(
     matcher: &dyn Matcher,
     tokenized: &TokenizedPair,
     units: &[ExplanationUnit],
     max_units: usize,
     base: f64,
-) -> Result<Vec<f64>, crate::MetricError> {
+) -> Vec<f64> {
     let n = tokenized.len();
-    if n == 0 {
-        return Err(crate::MetricError::EmptyPair);
-    }
     let toward_match = base >= matcher.threshold();
     let ranked = relevance_ranked_units(units, toward_match);
     let mut mask = vec![true; n];
@@ -331,7 +266,7 @@ pub fn unit_deletion_curve_with_base(
     for prob in matcher.predict_proba_batch(&probes) {
         out.push(class_score(prob, toward_match));
     }
-    Ok(out)
+    out
 }
 
 /// Mean class-score drop over the first `max_units` unit deletions —
@@ -345,22 +280,11 @@ pub fn aopc_units(
     if tokenized.len() == 0 {
         return Err(crate::MetricError::EmptyPair);
     }
-    let base = base_probability(matcher, tokenized);
-    aopc_units_with_base(matcher, tokenized, units, max_units, base)
-}
-
-/// [`aopc_units`] with a precomputed base probability.
-pub fn aopc_units_with_base(
-    matcher: &dyn Matcher,
-    tokenized: &TokenizedPair,
-    units: &[ExplanationUnit],
-    max_units: usize,
-    base: f64,
-) -> Result<f64, crate::MetricError> {
     if max_units == 0 {
         return Err(crate::MetricError::InvalidK(0));
     }
-    let curve = unit_deletion_curve_with_base(matcher, tokenized, units, max_units, base)?;
+    let base = base_probability(matcher, tokenized);
+    let curve = unit_curve_from(matcher, tokenized, units, max_units, base);
     let base_cs = curve[0];
     Ok(curve[1..].iter().map(|cs| base_cs - cs).sum::<f64>() / max_units as f64)
 }
@@ -369,33 +293,31 @@ pub fn aopc_units_with_base(
 /// by [`fidelity_probes_with_base`] in a single batched model query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FidelityProbes {
-    /// [`aopc_deletion_with_base`] over the fraction grid.
+    /// [`aopc_deletion`] over the fraction grid.
     pub aopc_deletion: f64,
-    /// [`aopc_units_with_base`] over the first `max_units` units.
+    /// [`aopc_units`] over the first `max_units` units.
     pub aopc_units: f64,
-    /// [`decision_flip_with_base`] of the top-ranked unit.
+    /// [`decision_flip`] of the top-ranked unit.
     pub decision_flip: bool,
-    /// [`sufficiency_with_base`] at the sufficiency fraction.
+    /// [`sufficiency`] at the sufficiency fraction.
     pub sufficiency: f64,
 }
 
 /// All four headline fidelity metrics through **one**
-/// `predict_proba_batch` call.
+/// `predict_proba_batch` call, given the pair's [`base_probability`].
 ///
-/// The individual `*_with_base` forms issue one batch (or scalar) model
-/// query each, so an evaluation loop scoring a pair pays four dispatches
-/// — which is where `store/headline` spent most of its self-time. This
-/// entry point builds every probe mask up front — the deletion-fraction
-/// masks, the cumulative unit-deletion masks, the top-unit flip mask
-/// (when a unit exists) and the sufficiency mask — and queries them in a
-/// single batch.
+/// Each individual form queries the base and then its probes, so an
+/// evaluation loop scoring a pair through all four pays eight model
+/// dispatches. This entry point builds every probe mask up front — the
+/// deletion-fraction masks, the cumulative unit-deletion masks, the
+/// top-unit flip mask (when a unit exists) and the sufficiency mask —
+/// and queries them in a single batch.
 ///
-/// Values are identical to the individual forms: each probe's
+/// Values are bitwise-identical to the individual forms: each probe's
 /// probability depends only on its own masked pair (batch ≡ scalar is
 /// pinned by the matcher test suites, at any batch composition), and the
-/// per-metric aggregations here are verbatim copies. Validation order
-/// also matches a sequential aopc → units → flip → sufficiency call
-/// chain, so callers see the same first error.
+/// per-metric aggregations here are verbatim copies. Every input one of
+/// the individual forms rejects is rejected here too.
 pub fn fidelity_probes_with_base(
     matcher: &dyn Matcher,
     tokenized: &TokenizedPair,
@@ -425,7 +347,7 @@ pub fn fidelity_probes_with_base(
 
     let mut probes: Vec<EntityPair> = Vec::with_capacity(fractions.len() + max_units + 2);
     // Deletion-curve probes, one per fraction (same masks as
-    // `deletion_curve_with_base`).
+    // `deletion_curve`).
     for &f in fractions {
         if !(0.0..=1.0).contains(&f) {
             return Err(crate::MetricError::InvalidFraction(f));
@@ -438,7 +360,7 @@ pub fn fidelity_probes_with_base(
         probes.push(tokenized.apply_mask(&mask));
     }
     // Cumulative unit-deletion probes (same masks as
-    // `unit_deletion_curve_with_base`).
+    // `unit_deletion_curve`).
     {
         let mut mask = vec![true; n];
         for u in 0..max_units {
@@ -466,7 +388,7 @@ pub fn fidelity_probes_with_base(
     } else {
         false
     };
-    // Sufficiency probe (keep-only mask of `sufficiency_with_base`).
+    // Sufficiency probe (keep-only mask of `sufficiency`).
     {
         let k = ((n as f64) * suff_fraction).round().max(1.0) as usize;
         let mut mask = vec![false; n];
@@ -757,44 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn with_base_variants_match_plain_forms() {
-        let tp = tokenized();
-        let m = FractionMatcher { total: 10 };
-        let units: Vec<ExplanationUnit> =
-            (0..10).map(|i| unit(&[i], 1.0 - i as f64 * 0.05)).collect();
-        let base = base_probability(&m, &tp);
-        let grid = [0.0, 0.3, 0.6];
-        assert_eq!(
-            deletion_curve(&m, &tp, &units, &grid).unwrap(),
-            deletion_curve_with_base(&m, &tp, &units, &grid, base).unwrap()
-        );
-        assert_eq!(
-            aopc_deletion(&m, &tp, &units, &grid).unwrap(),
-            aopc_deletion_with_base(&m, &tp, &units, &grid, base).unwrap()
-        );
-        assert_eq!(
-            sufficiency(&m, &tp, &units, 0.2).unwrap(),
-            sufficiency_with_base(&m, &tp, &units, 0.2, base).unwrap()
-        );
-        assert_eq!(
-            comprehensiveness(&m, &tp, &units, 0.3).unwrap(),
-            comprehensiveness_with_base(&m, &tp, &units, 0.3, base).unwrap()
-        );
-        assert_eq!(
-            decision_flip(&m, &tp, &units).unwrap(),
-            decision_flip_with_base(&m, &tp, &units, base).unwrap()
-        );
-        assert_eq!(
-            unit_deletion_curve(&m, &tp, &units, 3).unwrap(),
-            unit_deletion_curve_with_base(&m, &tp, &units, 3, base).unwrap()
-        );
-        assert_eq!(
-            aopc_units(&m, &tp, &units, 3).unwrap(),
-            aopc_units_with_base(&m, &tp, &units, 3, base).unwrap()
-        );
-    }
-
-    #[test]
     fn combined_probes_match_individual_forms_bitwise() {
         let grid = [0.1, 0.2, 0.3];
         for (m, tp) in [
@@ -805,10 +689,10 @@ mod tests {
             let units = vec![unit(&[0, 1], 0.9), unit(&[2], -0.4), unit(&[3], 0.2)];
             let base = base_probability(m, &tp);
             let combined = fidelity_probes_with_base(m, &tp, &units, &grid, 3, 0.3, base).unwrap();
-            let aopc = aopc_deletion_with_base(m, &tp, &units, &grid, base).unwrap();
-            let aopc_u = aopc_units_with_base(m, &tp, &units, 3, base).unwrap();
-            let flip = decision_flip_with_base(m, &tp, &units, base).unwrap();
-            let suff = sufficiency_with_base(m, &tp, &units, 0.3, base).unwrap();
+            let aopc = aopc_deletion(m, &tp, &units, &grid).unwrap();
+            let aopc_u = aopc_units(m, &tp, &units, 3).unwrap();
+            let flip = decision_flip(m, &tp, &units).unwrap();
+            let suff = sufficiency(m, &tp, &units, 0.3).unwrap();
             assert_eq!(combined.aopc_deletion.to_bits(), aopc.to_bits());
             assert_eq!(combined.aopc_units.to_bits(), aopc_u.to_bits());
             assert_eq!(combined.decision_flip, flip);
@@ -825,7 +709,7 @@ mod tests {
         assert!(!combined.decision_flip);
         assert_eq!(
             combined.sufficiency,
-            sufficiency_with_base(&m, &tp, &[], 0.3, base).unwrap()
+            sufficiency(&m, &tp, &[], 0.3).unwrap()
         );
     }
 
@@ -877,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn with_base_forms_skip_the_base_query() {
+    fn plain_forms_query_the_base_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         struct CountingMatcher {
             calls: AtomicUsize,
@@ -896,19 +780,38 @@ mod tests {
         let m = CountingMatcher {
             calls: AtomicUsize::new(0),
         };
-        let base = base_probability(&m, &tp);
-        assert_eq!(m.calls.load(Ordering::SeqCst), 1);
-        deletion_curve_with_base(&m, &tp, &units, &[0.1, 0.2, 0.3], base).unwrap();
-        assert_eq!(
-            m.calls.load(Ordering::SeqCst),
-            4,
-            "3 probes, no base re-query"
-        );
-        sufficiency_with_base(&m, &tp, &units, 0.2, base).unwrap();
-        assert_eq!(m.calls.load(Ordering::SeqCst), 5);
-        decision_flip_with_base(&m, &tp, &units, base).unwrap();
-        assert_eq!(m.calls.load(Ordering::SeqCst), 6);
-        unit_deletion_curve_with_base(&m, &tp, &units, 2, base).unwrap();
-        assert_eq!(m.calls.load(Ordering::SeqCst), 8);
+        let grid = [0.1, 0.2, 0.3];
+        let count = |run: &dyn Fn()| {
+            m.calls.store(0, Ordering::SeqCst);
+            run();
+            m.calls.load(Ordering::SeqCst)
+        };
+        // One base query, then the form's own probes.
+        let cases: [(&str, usize, &dyn Fn()); 7] = [
+            ("deletion_curve", 1 + 3, &|| {
+                deletion_curve(&m, &tp, &units, &grid).unwrap();
+            }),
+            ("aopc_deletion", 1 + 3, &|| {
+                aopc_deletion(&m, &tp, &units, &grid).unwrap();
+            }),
+            ("comprehensiveness", 1 + 1, &|| {
+                comprehensiveness(&m, &tp, &units, 0.3).unwrap();
+            }),
+            ("sufficiency", 1 + 1, &|| {
+                sufficiency(&m, &tp, &units, 0.2).unwrap();
+            }),
+            ("decision_flip", 1 + 1, &|| {
+                decision_flip(&m, &tp, &units).unwrap();
+            }),
+            ("unit_deletion_curve", 1 + 2, &|| {
+                unit_deletion_curve(&m, &tp, &units, 2).unwrap();
+            }),
+            ("aopc_units", 1 + 2, &|| {
+                aopc_units(&m, &tp, &units, 2).unwrap();
+            }),
+        ];
+        for (name, expected, run) in cases {
+            assert_eq!(count(run), expected, "{name}");
+        }
     }
 }

@@ -26,12 +26,9 @@ pub mod interpretability;
 pub mod stability;
 
 pub use fidelity::{
-    aopc_deletion, aopc_deletion_with_base, aopc_units, aopc_units_with_base, base_probability,
-    class_score, comprehensiveness, comprehensiveness_with_base, decision_flip,
-    decision_flip_with_base, deletion_curve, deletion_curve_with_base, deletion_order,
-    fidelity_probes_with_base, ranked_units, relevance_ranked_units, standard_fractions,
-    sufficiency, sufficiency_with_base, unit_deletion_curve, unit_deletion_curve_with_base,
-    FidelityProbes,
+    aopc_deletion, aopc_units, base_probability, class_score, comprehensiveness, decision_flip,
+    deletion_curve, deletion_order, fidelity_probes_with_base, ranked_units,
+    relevance_ranked_units, standard_fractions, sufficiency, unit_deletion_curve, FidelityProbes,
 };
 pub use interpretability::{interpretability, InterpretabilityReport};
 pub use stability::{

@@ -7,7 +7,8 @@
 //! ```
 
 use crew_core::{explain_dataset, Crew, CrewOptions};
-use em_data::{block, candidates_to_pairs, BlockingStrategy, Record};
+use em_data::{EntityPair, Record};
+use em_stream::{block_candidates, BlockingConfig};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,33 +38,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         right.len()
     );
 
-    // 2. Blocking: brand equality plus a token-overlap pass.
-    let by_brand = block(
-        &schema,
-        &left,
-        &right,
-        &BlockingStrategy::AttributeEquality { attribute: 1 },
-    )?;
-    let by_tokens = block(
-        &schema,
-        &left,
-        &right,
-        &BlockingStrategy::TokenOverlap { min_shared: 4 },
-    )?;
+    // 2. Blocking: records sharing a token become candidates.
+    let blocked = block_candidates(&left, &right, &BlockingConfig::default());
     println!(
-        "blocking: brand-equality {} candidates (reduction {:.3}), token-overlap {} candidates",
-        by_brand.candidates.len(),
-        by_brand.reduction_ratio(left.len(), right.len()),
-        by_tokens.candidates.len()
+        "blocking: {} candidates (reduction {:.3})",
+        blocked.pairs.len(),
+        blocked.reduction_ratio()
     );
-    // Union of the two candidate sets.
-    let mut candidates = by_brand.candidates;
-    for c in by_tokens.candidates {
-        if !candidates.contains(&c) {
-            candidates.push(c);
-        }
-    }
-    let pairs = candidates_to_pairs(&schema, &left, &right, &candidates)?;
+    let pairs = blocked
+        .pairs
+        .iter()
+        .map(|&(i, j)| {
+            let (l, r) = (left[i as usize].clone(), right[j as usize].clone());
+            EntityPair::new(Arc::clone(&schema), l, r)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
     // 3. Matching: score every candidate with the trained attention model.
     let matcher = examples_support::demo_matcher(&ctx);

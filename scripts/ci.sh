@@ -19,14 +19,6 @@ cargo build --release --locked --offline
 echo "==> cargo test -q (locked, offline)"
 cargo test -q --locked --offline
 
-echo "==> kernel dispatch equivalence (EM_KERNEL=scalar vs default)"
-# The propcheck suites pin scalar ≡ AVX2 bitwise through the per-backend
-# entry points; the two legs below additionally exercise the EM_KERNEL
-# override path and the detected-default dispatch in every dispatched
-# call site (matrix, stats, sparse, metrics).
-EM_KERNEL=scalar cargo test -q -p em-linalg --locked --offline
-cargo test -q -p em-linalg --locked --offline
-
 echo "==> obs no-op build (probes compile away with em-obs/noop)"
 cargo check -q -p em-bench --features obs-noop --locked --offline
 
@@ -245,21 +237,20 @@ print("perturb/query self-time gate passed")
 EOF
     rm -f "$baseline" "$trace_baseline"
 
-    echo "==> artifact identity (EM_KERNEL=scalar at a different --jobs)"
-    # Every experiment CSV value must be bitwise independent of the SIMD
-    # backend and of worker-pool scheduling: snapshot the CSVs from the
-    # default-dispatch run above, re-run the suite with the scalar
-    # backend at a different job count, and compare each artifact
-    # cell-by-cell. Recorded wall-clock columns (`seconds`, `secs/pair`)
-    # are excluded — they differ between any two runs of the same
-    # binary; every other cell must match to the byte.
+    echo "==> artifact identity (run_all at a different --jobs)"
+    # Every experiment CSV value must be bitwise independent of
+    # worker-pool scheduling: snapshot the CSVs from the run above,
+    # re-run the suite at a different job count, and compare each
+    # artifact cell-by-cell. Recorded wall-clock columns (`seconds`,
+    # `secs/pair`) are excluded — they differ between any two runs of the
+    # same binary; every other cell must match to the byte.
     csv_snapshot=$(mktemp -d)
     cp results/*.csv "$csv_snapshot"/
     bench_snapshot=$(mktemp)
     trace_snapshot=$(mktemp)
     cp results/BENCH_run_all_smoke.json "$bench_snapshot"
     cp results/TRACE_run_all_smoke.json "$trace_snapshot"
-    EM_KERNEL=scalar cargo run --release --locked --offline -p em-bench \
+    cargo run --release --locked --offline -p em-bench \
         --bin run_all -- --smoke --trace --jobs 2
     python3 - "$csv_snapshot" results <<'EOF'
 import csv, pathlib, sys
@@ -270,17 +261,16 @@ for fa in names:
     ra = list(csv.reader(open(fa)))
     rb = list(csv.reader(open(b_dir / fa.name)))
     assert ra[0] == rb[0] and len(ra) == len(rb), \
-        f"{fa.name}: structure differs under EM_KERNEL=scalar"
+        f"{fa.name}: structure differs at --jobs 2"
     timing = {i for i, h in enumerate(ra[0]) if h == "seconds" or "secs" in h}
     for row, (la, lb) in enumerate(zip(ra[1:], rb[1:]), start=2):
         for i, (ca, cb) in enumerate(zip(la, lb)):
             assert i in timing or ca == cb, \
-                (f"{fa.name}:{row} col {ra[0][i]!r}: {ca!r} != {cb!r} "
-                 f"under EM_KERNEL=scalar at --jobs 2")
+                f"{fa.name}:{row} col {ra[0][i]!r}: {ca!r} != {cb!r} at --jobs 2"
 print(f"artifact identity ok: {len(names)} CSVs bitwise equal on value columns")
 EOF
-    # Restore the default-dispatch smoke timings so the tree reflects
-    # the canonical run, not the scalar re-run.
+    # Restore the first run's smoke timings so the tree reflects the
+    # canonical run, not the --jobs 2 re-run.
     cp "$bench_snapshot" results/BENCH_run_all_smoke.json
     cp "$trace_snapshot" results/TRACE_run_all_smoke.json
     rm -rf "$csv_snapshot"
