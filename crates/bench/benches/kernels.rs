@@ -3,9 +3,13 @@
 //! the unrolled dense kernels (`matvec`/`cosine`), the semantic
 //! distance-matrix build, and one end-to-end single-pair CREW
 //! explanation on the logistic matcher — the acceptance row for the
-//! "explain one pair in under a millisecond" target.
+//! "explain one pair in under a millisecond" target — split into its
+//! perturbation set, its query-free tail and the tail's model selection.
 
-use crew_core::{Crew, CrewOptions, Explainer, PerturbOptions};
+use crew_core::{
+    combined_distances_with, fit_word_surrogate, Crew, CrewOptions, Explainer, GroupSweep,
+    PerturbOptions, PerturbationSet,
+};
 use em_bench::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use em_embed::{EmbeddingOptions, WordEmbeddings};
 use em_linalg::Matrix;
@@ -222,7 +226,7 @@ fn bench_explain_single(c: &mut Criterion) {
         .unwrap(),
     );
     let crew = Crew::new(
-        emb,
+        Arc::clone(&emb),
         CrewOptions {
             perturb: PerturbOptions {
                 threads: 1,
@@ -254,7 +258,48 @@ fn bench_explain_single(c: &mut Criterion) {
             b.iter(|| crew.explain_clusters_with_set(tp, &set).unwrap());
         },
     );
+    // Model selection alone: one group-surrogate sweep over the cuts the
+    // tail scores, from the same set.
+    let cuts = model_select_cuts(&crew, &emb, &tokenized, &set);
+    let surrogate = crew.options().surrogate;
+    group.bench_with_input(
+        BenchmarkId::from_parameter("model_select"),
+        &cuts,
+        |b, cuts| {
+            b.iter(|| {
+                let mut sweep = GroupSweep::new(&set, &surrogate);
+                cuts.iter()
+                    .map(|groups| sweep.fit(groups).unwrap().r_squared)
+                    .sum::<f64>()
+            });
+        },
+    );
     group.finish();
+}
+
+/// The groups of every candidate partition model selection scores for
+/// `set`, in ascending K: the tail's own steps up to `crew/model_select`.
+fn model_select_cuts(
+    crew: &Crew,
+    embeddings: &WordEmbeddings,
+    tokenized: &em_data::TokenizedPair,
+    set: &PerturbationSet,
+) -> Vec<Vec<Vec<usize>>> {
+    let o = crew.options();
+    let word_fit = fit_word_surrogate(set, &o.surrogate).expect("word fit");
+    let distances = combined_distances_with(
+        tokenized,
+        embeddings,
+        &word_fit.weights,
+        o.knowledge,
+        &o.semantic,
+    )
+    .expect("distances");
+    crew.candidate_partitions(&distances, &word_fit.weights, tokenized.len())
+        .expect("partitions")
+        .iter()
+        .map(|(_, labels, _)| em_cluster::groups_from_labels(labels))
+        .collect()
 }
 
 criterion_group!(

@@ -8,9 +8,10 @@
 //! 2. build the combined word distance `α·d_sem + β·d_attr + γ·d_imp`;
 //! 3. constrained average-linkage agglomerative clustering (opposite-sign
 //!    extreme words cannot link);
-//! 4. cut the dendrogram at every K, refit a *group-level* surrogate on the
-//!    same perturbation sample, and pick the smallest K whose group R²
-//!    retains `tau` of the best achievable group fidelity (the knee of the
+//! 4. cut the dendrogram at every K, fit a *group-level* surrogate on the
+//!    same perturbation sample (the [`GroupSweep`] of step 1 continued
+//!    across the cuts), and pick the smallest K whose group R² retains
+//!    `tau` of the best achievable group fidelity (the knee of the
 //!    fidelity-vs-size curve);
 //! 5. emit clusters with group-surrogate weights and semantic coherence.
 
@@ -20,7 +21,7 @@ use crate::knowledge::{
     combined_distances_with, opposite_sign_cannot_links, semantic_coherence, KnowledgeWeights,
 };
 use crate::perturb::{perturb, PerturbOptions, PerturbationSet};
-use crate::surrogate::{fit_group_surrogate, fit_word_surrogate, SurrogateOptions};
+use crate::surrogate::{GroupSweep, SurrogateOptions};
 use em_cluster::{agglomerative, silhouette, sweep_cuts, Constraints, Linkage};
 use em_data::{EntityPair, TokenizedPair};
 use em_embed::WordEmbeddings;
@@ -108,13 +109,15 @@ impl Crew {
     }
 
     /// Produce `(k, labels, silhouette)` candidate partitions for every K in
-    /// the model selection range, using the configured clustering driver.
+    /// the model selection range, in ascending K, using the configured
+    /// clustering driver. `distances` and `word_weights` are the combined
+    /// distance matrix and word-surrogate weights of an `n`-word pair.
     ///
     /// On the agglomerative path consecutive cuts come from one incremental
     /// merge replay ([`sweep_cuts`]) that also scores each cut's silhouette
     /// from shared accumulators, instead of re-running union-find and an
     /// O(n²·k) silhouette per K.
-    fn candidate_partitions(
+    pub fn candidate_partitions(
         &self,
         distances: &em_linalg::Matrix,
         word_weights: &[f64],
@@ -222,9 +225,12 @@ impl Crew {
             return Err(crate::ExplainError::InvalidTau(self.options.tau));
         }
         em_obs::counter!("crew/explanations", 1);
+        // One surrogate sweep serves the word fit (the all-singleton cut)
+        // and every cut model selection scores.
+        let mut sweep = GroupSweep::new(set, &self.options.surrogate);
         let word_fit = {
             let _span = em_obs::span!("crew/word_surrogate");
-            fit_word_surrogate(set, &self.options.surrogate)?
+            sweep.fit_words()?
         };
         let word_level = WordExplanation {
             explainer: "crew".to_string(),
@@ -277,17 +283,25 @@ impl Crew {
         //    relative-to-word-level: the word surrogate has more degrees of
         //    freedom and its R² may be unreachable by any grouping, which
         //    would otherwise push K to the ceiling.)
+        //    The sweep computes each group's column and each Gram entry
+        //    once, singletons included.
         let (selected_k, labels, group_fit, sil) = {
             let _span = em_obs::span!("crew/model_select");
+            let word_columns = sweep.columns();
             let mut cuts: Vec<(usize, Vec<usize>, crate::surrogate::SurrogateFit, f64)> =
                 Vec::with_capacity(partitions.len());
             let mut best_r2 = f64::NEG_INFINITY;
             for (k, labels, sil) in partitions {
                 let groups = em_cluster::groups_from_labels(&labels);
-                let fit = fit_group_surrogate(set, &groups, &self.options.surrogate)?;
+                let fit = sweep.fit(&groups)?;
                 best_r2 = best_r2.max(fit.r_squared);
                 cuts.push((k, labels, fit, sil));
             }
+            em_obs::counter!("crew/model_select/cuts", cuts.len() as u64);
+            em_obs::counter!(
+                "crew/model_select/columns",
+                (sweep.columns() - word_columns) as u64
+            );
             let target_r2 = self.options.tau * best_r2.max(0.0);
             let chosen = cuts
                 .iter()
@@ -368,7 +382,8 @@ impl Crew {
         if tokenized.is_empty() {
             return Err(crate::ExplainError::EmptyPair);
         }
-        let word_fit = fit_word_surrogate(set, &self.options.surrogate)?;
+        let mut sweep = GroupSweep::new(set, &self.options.surrogate);
+        let word_fit = sweep.fit_words()?;
         let distances = combined_distances_with(
             tokenized,
             &self.embeddings,
@@ -381,13 +396,13 @@ impl Crew {
         // the options the selection rule chose among.
         let partitions =
             self.candidate_partitions(&distances, &word_fit.weights, tokenized.len())?;
-        let mut out = Vec::new();
-        for (k, labels, sil) in partitions {
-            let groups = em_cluster::groups_from_labels(&labels);
-            let fit = fit_group_surrogate(set, &groups, &self.options.surrogate)?;
-            out.push((k, fit.r_squared, sil));
-        }
-        Ok(out)
+        partitions
+            .into_iter()
+            .map(|(k, labels, sil)| {
+                let fit = sweep.fit(&em_cluster::groups_from_labels(&labels))?;
+                Ok((k, fit.r_squared, sil))
+            })
+            .collect()
     }
 }
 

@@ -60,7 +60,8 @@ pub use perturb::{
 };
 pub use report::{cluster_explanation_to_json, word_explanation_to_json};
 pub use surrogate::{
-    fit_group_surrogate, fit_word_surrogate, kernel_weight, SurrogateFit, SurrogateOptions,
+    fit_group_surrogate, fit_word_surrogate, kernel_weight, GroupSweep, SurrogateFit,
+    SurrogateOptions,
 };
 
 /// Errors from the explanation stack.

@@ -667,6 +667,24 @@ impl ExplanationStore {
         pair: &EntityPair,
         options: &CrewOptions,
     ) -> Result<Arc<ExplanationOutput>, crate::EvalError> {
+        self.explain_cached(ctx, matcher, kind, budget, pair, options, true)
+    }
+
+    /// [`ExplanationStore::explain_with_options`]; with `share_set`
+    /// false, a CREW miss builds its perturbation set outside the
+    /// perturbation sub-store and drops it once explained (same key,
+    /// slot and bytes either way).
+    #[allow(clippy::too_many_arguments)]
+    fn explain_cached(
+        &self,
+        ctx: &Arc<EvalContext>,
+        matcher: MatcherKind,
+        kind: ExplainerKind,
+        budget: ExplainBudget,
+        pair: &EntityPair,
+        options: &CrewOptions,
+        share_set: bool,
+    ) -> Result<Arc<ExplanationOutput>, crate::EvalError> {
         let context = ContextKey::new(ctx.family, &ctx.config);
         let key = ExplainKey {
             context,
@@ -688,9 +706,15 @@ impl ExplanationStore {
             // of the explainer run nest under this anchor.
             let _span = em_obs::root_span!("store/explain");
             if kind == ExplainerKind::Crew {
-                let timed = self.perturbation_set(ctx, matcher, budget, pair)?;
                 let crew = build_crew(ctx, budget, options.clone());
                 let tokenized = TokenizedPair::new(pair.clone());
+                let timed = if share_set {
+                    self.perturbation_set(ctx, matcher, budget, pair)?
+                } else {
+                    // Same span as a shared miss, so traces keep their shape.
+                    let _span = em_obs::root_span!("store/perturb_set");
+                    Arc::new(timed_set(ctx, matcher, &crew, &tokenized)?)
+                };
                 let t0 = Instant::now();
                 let ce = crew.explain_clusters_with_set(&tokenized, &timed.set)?;
                 Ok(crew_output(ce, timed.elapsed + t0.elapsed().as_secs_f64()))
@@ -721,15 +745,8 @@ impl ExplanationStore {
         };
         self.perturbations.get_or_compute(&key, || {
             let _span = em_obs::root_span!("store/perturb_set");
-            let trained = ctx.matcher(matcher)?;
             let crew = build_crew(ctx, budget, CrewOptions::default());
-            let tokenized = TokenizedPair::new(pair.clone());
-            let t0 = Instant::now();
-            let set = crew.perturbation_set(trained.as_ref(), &tokenized)?;
-            Ok(TimedSet {
-                set,
-                elapsed: t0.elapsed().as_secs_f64(),
-            })
+            timed_set(ctx, matcher, &crew, &TokenizedPair::new(pair.clone()))
         })
     }
 
@@ -746,6 +763,24 @@ impl ExplanationStore {
     pub fn peak_bytes(&self) -> usize {
         self.explanations.peak_bytes() + self.perturbations.peak_bytes()
     }
+}
+
+/// Build and time the CREW perturbation set of `tokenized`. Only the
+/// budget-derived perturbation options of `crew` matter, so every CREW
+/// variant on one budget builds the same set.
+fn timed_set(
+    ctx: &EvalContext,
+    matcher: MatcherKind,
+    crew: &crew_core::Crew,
+    tokenized: &TokenizedPair,
+) -> Result<TimedSet, crate::EvalError> {
+    let trained = ctx.matcher(matcher)?;
+    let t0 = Instant::now();
+    let set = crew.perturbation_set(trained.as_ref(), tokenized)?;
+    Ok(TimedSet {
+        set,
+        elapsed: t0.elapsed().as_secs_f64(),
+    })
 }
 
 /// One evaluation session: the experiment configuration plus the shared
@@ -817,6 +852,31 @@ impl EvalSession {
     ) -> Result<Arc<ExplanationOutput>, crate::EvalError> {
         self.explanations
             .explain(ctx, matcher, kind, self.config.budget(), pair)
+    }
+
+    /// [`EvalSession::explain_for`] without retaining a CREW perturbation
+    /// set: the explanation is cached under the same key and
+    /// single-flight slot, with the same bytes, but a CREW miss builds
+    /// its set outside the perturbation sub-store, tokenizing the pair
+    /// once, and drops it once explained. For callers that never ask for
+    /// a second CREW configuration of a pair, such as a server answering
+    /// repeats from the explanation store.
+    pub fn explain_for_unshared_set(
+        &self,
+        matcher: MatcherKind,
+        kind: ExplainerKind,
+        ctx: &Arc<EvalContext>,
+        pair: &EntityPair,
+    ) -> Result<Arc<ExplanationOutput>, crate::EvalError> {
+        self.explanations.explain_cached(
+            ctx,
+            matcher,
+            kind,
+            self.config.budget(),
+            pair,
+            &CrewOptions::default(),
+            false,
+        )
     }
 
     /// CREW with explicit options (ablations), on the session budget.
@@ -919,6 +979,41 @@ mod tests {
         let su: Vec<_> = stored.units.iter().map(|u| &u.member_indices).collect();
         let fu: Vec<_> = fresh.units.iter().map(|u| &u.member_indices).collect();
         assert_eq!(su, fu);
+    }
+
+    #[test]
+    fn unshared_set_explains_are_cached_like_shared_ones() {
+        let (shared, unshared) = (session(), session());
+        let ctx = shared.context(Family::Restaurants).unwrap();
+        let pair = &ctx.pairs_to_explain(1)[0].pair;
+        let matcher = shared.config().matcher;
+        let want = shared
+            .explain_for(matcher, ExplainerKind::Crew, &ctx, pair)
+            .unwrap();
+        let got = unshared
+            .explain_for_unshared_set(matcher, ExplainerKind::Crew, &ctx, pair)
+            .unwrap();
+        let bits = |o: &ExplanationOutput| -> Vec<u64> {
+            let mut v: Vec<u64> = o.word_level.weights.iter().map(|w| w.to_bits()).collect();
+            for u in &o.units {
+                v.push(u.weight.to_bits());
+                v.extend(u.member_indices.iter().map(|&m| m as u64));
+            }
+            v
+        };
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(got.cluster_info, want.cluster_info);
+        // No set was kept, and the explanation sits under the shared key.
+        assert_eq!(
+            unshared.explanations().perturbation_stats(),
+            StoreStats::default()
+        );
+        let again = unshared
+            .explain_for(matcher, ExplainerKind::Crew, &ctx, pair)
+            .unwrap();
+        assert!(Arc::ptr_eq(&got, &again));
+        let e = unshared.explanations().stats();
+        assert_eq!((e.hits, e.misses), (1, 1));
     }
 
     #[test]

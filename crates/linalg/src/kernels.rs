@@ -9,11 +9,13 @@
 //! - the lanes combine as `(s0+s2)+(s1+s3)`;
 //! - the `len % 4` tail is added sequentially.
 //!
-//! The order is fixed, so the same inputs give the same bits on every
-//! call and at every thread count. It reassociates the sum relative to a
-//! naive sequential loop, so results may differ from a textbook reference
-//! by `O(n · ε · Σ|aᵢbᵢ|)` (the property suite pins this bound). The
-//! tests below pin the policy itself bitwise at every length 0..=12.
+//! [`dot_columns`] applies the same order to the rows of a column-major
+//! matrix. The order is fixed, so the same inputs give the same bits on
+//! every call and at every thread count. It reassociates the sum relative
+//! to a naive sequential loop, so results may differ from a textbook
+//! reference by `O(n · ε · Σ|aᵢbᵢ|)` (the property suite pins this
+//! bound). The tests below pin the policy itself bitwise at every length
+//! 0..=12.
 
 /// Dot product of two equal-length slices under the four-lane policy.
 ///
@@ -41,6 +43,39 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         sum += x * y;
     }
     sum
+}
+
+/// [`dot`] of `a` with every row of a column-major matrix, bit for bit:
+/// `out[i] = dot(a, row_i)` where `row_i[j] = columns[j][i]`. It replays
+/// `dot`'s lane order one column at a time over blocks of rows, so each
+/// column is one pass over contiguous memory. A short `dot` per gathered
+/// row gives the same bits but made CREW's model selection 1.75× slower
+/// (DESIGN.md, "Incremental surrogate sweep").
+///
+/// # Panics
+/// Panics if `a` and `columns` differ in length, or a column is shorter
+/// than `out`.
+pub fn dot_columns(a: &[f64], columns: &[&[f64]], out: &mut [f64]) {
+    const ROWS: usize = 64;
+    assert_eq!(a.len(), columns.len(), "dot_columns: length mismatch");
+    let full = a.len() / 4 * 4;
+    for (block, out) in out.chunks_mut(ROWS).enumerate() {
+        let rows = block * ROWS..block * ROWS + out.len();
+        let mut lanes = [[0.0f64; ROWS]; 4];
+        for (j, (&c, column)) in a[..full].iter().zip(columns).enumerate() {
+            for (s, &v) in lanes[j % 4].iter_mut().zip(&column[rows.clone()]) {
+                *s += c * v;
+            }
+        }
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = (lanes[0][i] + lanes[2][i]) + (lanes[1][i] + lanes[3][i]);
+        }
+        for (&c, column) in a[full..].iter().zip(&columns[full..]) {
+            for (o, &v) in out.iter_mut().zip(&column[rows.clone()]) {
+                *o += c * v;
+            }
+        }
+    }
 }
 
 /// Euclidean norm of a slice (inherits [`dot`]'s lane order).
@@ -246,6 +281,26 @@ mod tests {
             dot_order_seen && sum_order_seen,
             "inputs too tame to expose lane order"
         );
+    }
+
+    #[test]
+    fn dot_columns_matches_dot_row_by_row() {
+        let mut rng = em_rngs::rngs::StdRng::seed_from_u64(0x636f_6c73);
+        for k in 0..=12 {
+            for n in [0, 1, 5, 63, 64, 65, 130] {
+                let mut wide = || rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-6..6));
+                let a: Vec<f64> = (0..k).map(|_| wide()).collect();
+                let columns: Vec<Vec<f64>> =
+                    (0..k).map(|_| (0..n).map(|_| wide()).collect()).collect();
+                let views: Vec<&[f64]> = columns.iter().map(Vec::as_slice).collect();
+                let mut out = vec![f64::NAN; n];
+                dot_columns(&a, &views, &mut out);
+                for (i, got) in out.iter().enumerate() {
+                    let row: Vec<f64> = columns.iter().map(|c| c[i]).collect();
+                    assert_eq!(got.to_bits(), dot(&a, &row).to_bits(), "k={k} n={n} i={i}");
+                }
+            }
+        }
     }
 
     #[test]

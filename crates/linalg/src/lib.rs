@@ -30,7 +30,7 @@ pub mod sparse;
 pub mod stats;
 pub mod svd;
 
-pub use kernels::{axpy, cosine, dot, norm2};
+pub use kernels::{axpy, cosine, dot, dot_columns, norm2};
 pub use matrix::{sq_dist, Matrix};
 pub use solve::{cholesky, ridge, ridge_regression, solve_spd, RidgeFit};
 pub use sparse::SparseMatrix;

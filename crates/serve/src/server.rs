@@ -30,7 +30,7 @@ use crew_core::report::{cluster_explanation_to_json, word_explanation_to_json};
 use em_data::EntityPair;
 use em_eval::{
     pair_fingerprint, EvalContext, EvalSession, ExperimentConfig, ExplainerKind, ExplanationOutput,
-    MatcherKind, StoreBudget,
+    MatcherKind,
 };
 use em_matchers::Matcher;
 use em_synth::Family;
@@ -59,20 +59,7 @@ impl ServeState {
     /// configured matcher eagerly, so the first request pays no
     /// training latency.
     pub fn load(family: Family, config: ExperimentConfig) -> Result<Self, em_eval::EvalError> {
-        ServeState::build(family, EvalSession::new(config))
-    }
-
-    /// Like [`load`](ServeState::load) but with a byte-budgeted
-    /// explanation store — the right default for a long-lived process.
-    pub fn load_bounded(
-        family: Family,
-        config: ExperimentConfig,
-        budget: StoreBudget,
-    ) -> Result<Self, em_eval::EvalError> {
-        ServeState::build(family, EvalSession::with_budget(config, budget))
-    }
-
-    fn build(family: Family, session: EvalSession) -> Result<Self, em_eval::EvalError> {
+        let session = EvalSession::new(config);
         let matcher_kind = session.config().matcher;
         let ctx = session.context(family)?;
         let matcher = ctx.matcher(matcher_kind)?;
@@ -626,7 +613,10 @@ fn run_batch(state: &ServeState, query_jobs: usize, batch: Vec<Job>) -> Vec<Job>
             }
         }
         // Explanations fan out over the pool; results land in
-        // index-keyed slots so the fan-out order never shows.
+        // index-keyed slots so the fan-out order never shows. Repeats are
+        // answered from the explanation store and no request asks for
+        // another CREW configuration of a pair, so a miss drops its
+        // perturbation set once explained.
         let n = deduped.explain_work.len();
         let slots: Vec<OnceLock<Result<Arc<ExplanationOutput>, ServeError>>> =
             (0..n).map(|_| OnceLock::new()).collect();
@@ -634,7 +624,7 @@ fn run_batch(state: &ServeState, query_jobs: usize, batch: Vec<Job>) -> Vec<Job>
             let (kind, pair) = &deduped.explain_work[i];
             let result = state
                 .session
-                .explain_for(state.matcher_kind, *kind, &state.ctx, pair)
+                .explain_for_unshared_set(state.matcher_kind, *kind, &state.ctx, pair)
                 .map_err(|e| ServeError::Internal(e.to_string()));
             let _ = slots[i].set(result);
         });

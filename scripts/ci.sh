@@ -80,7 +80,8 @@ for stage in ("stream", "stream/block", "stream/block/lsh",
     assert stage in paths, f"missing pipeline stage span {stage!r}"
 counters = {c["name"]: c["value"] for c in trace["counters"]}
 for name in ("stream/blocks", "stream/candidates", "stream/matches",
-             "ann/signatures"):
+             "ann/signatures", "crew/model_select/cuts",
+             "crew/model_select/columns"):
     assert counters.get(name, 0) > 0, f"counter {name!r} missing or zero"
 # Accounting counters may legitimately read zero at smoke scale, but
 # they must be reported.
@@ -90,7 +91,9 @@ for name in ("stream/block/skipped_stop_tokens", "stream/block/lsh_blocks",
 print(f"stream trace ok: {len(paths)} spans, "
       f"{counters['stream/candidates']} candidates, "
       f"{counters['stream/matches']} matches, "
-      f"{counters['ann/signatures']} lsh signatures")
+      f"{counters['ann/signatures']} lsh signatures, "
+      f"{counters['crew/model_select/columns']} new group columns over "
+      f"{counters['crew/model_select/cuts']} model-selection cuts")
 EOF
 
 echo "==> serve smoke (load_gen --smoke --trace) + coalescing schema check"

@@ -6,8 +6,8 @@
 //! reproducible from the fit itself — never an overstatement.
 
 use crew_core::{
-    find_counterfactual, fit_word_surrogate, kernel_weight, CounterfactualOptions, Crew,
-    CrewOptions, PerturbationSet, SurrogateOptions,
+    find_counterfactual, fit_word_surrogate, kernel_weight, ClusterAlgorithm,
+    CounterfactualOptions, Crew, CrewOptions, PerturbationSet, SurrogateOptions,
 };
 use em_data::TokenizedPair;
 use em_eval::{EvalContext, MatcherKind};
@@ -224,5 +224,63 @@ fn linear_model_reaches_near_perfect_fidelity() {
             (w - 0.1).abs() < 0.05,
             "word {i} weight {w} far from the true 0.1"
         );
+    }
+}
+
+/// FNV-1a over little-endian `u64`s.
+fn mix(h: &mut u64, v: u64) {
+    for byte in v.to_le_bytes() {
+        *h ^= u64::from(byte);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Model selection's outputs on the seeded Restaurants context's sample
+/// of test pairs (`pairs_to_explain(20)`), pinned as digests computed
+/// before the surrogate fits became one sweep across the cuts: the
+/// selected K, group R², every cluster's members and weight bits, and
+/// the full `k_sweep_with_set` series, for the agglomerative default
+/// and the k-medoids ablation (non-nested cuts).
+#[test]
+fn model_selection_matches_pinned_digests() {
+    let ctx = seeded_context();
+    let matcher = ctx.matcher(MatcherKind::Logistic).unwrap();
+    let pairs: Vec<TokenizedPair> = ctx
+        .pairs_to_explain(20)
+        .into_iter()
+        .map(|labeled| TokenizedPair::new(labeled.pair))
+        .collect();
+    let pinned = [
+        (ClusterAlgorithm::Agglomerative, 0x3d2c_58e7_8206_a8f6),
+        (ClusterAlgorithm::KMedoids, 0x30f5_dfc1_8022_dfeb),
+    ];
+    for (algorithm, want) in pinned {
+        let crew = Crew::new(
+            Arc::clone(&ctx.embeddings),
+            CrewOptions {
+                algorithm,
+                ..CrewOptions::default()
+            },
+        );
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for tokenized in &pairs {
+            let set = crew.perturbation_set(matcher.as_ref(), tokenized).unwrap();
+            let ce = crew.explain_clusters_with_set(tokenized, &set).unwrap();
+            mix(&mut h, ce.selected_k as u64);
+            mix(&mut h, ce.group_r2.to_bits());
+            for cluster in &ce.clusters {
+                mix(&mut h, cluster.member_indices.len() as u64);
+                for &m in &cluster.member_indices {
+                    mix(&mut h, m as u64);
+                }
+                mix(&mut h, cluster.weight.to_bits());
+            }
+            for (k, r2, silhouette) in crew.k_sweep_with_set(tokenized, &set).unwrap() {
+                mix(&mut h, k as u64);
+                mix(&mut h, r2.to_bits());
+                mix(&mut h, silhouette.to_bits());
+            }
+        }
+        assert_eq!(h, want, "{algorithm:?} model selection changed: {h:#018x}");
     }
 }

@@ -200,13 +200,21 @@ fn suite_trace_structure_is_jobs_invariant() {
             "expected span {path} in the suite trace"
         );
     }
-    assert!(
-        sequential
-            .counters
-            .iter()
-            .any(|(name, v)| name == "crew/explanations" && *v > 0),
-        "crew explanation counter missing"
-    );
+    // CREW's own counters, model selection's reuse counters included
+    // (the structure check above makes them jobs-invariant).
+    for counter in [
+        "crew/explanations",
+        "crew/model_select/cuts",
+        "crew/model_select/columns",
+    ] {
+        assert!(
+            sequential
+                .counters
+                .iter()
+                .any(|(name, v)| name == counter && *v > 0),
+            "counter {counter} missing"
+        );
+    }
 }
 
 /// Turning observation on must never change what the instrumented code

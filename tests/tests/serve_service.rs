@@ -170,9 +170,11 @@ fn concurrent_identical_explains_share_one_computation() {
         explain_stats.misses, 1,
         "4 identical explains must cost exactly one explanation computation: {explain_stats:?}"
     );
+    // The one set is built inside that miss and never retained.
     assert_eq!(
-        perturb_stats.misses, 1,
-        "4 identical explains must cost exactly one perturbation set: {perturb_stats:?}"
+        perturb_stats,
+        em_eval::StoreStats::default(),
+        "a server must keep no perturbation set: {perturb_stats:?}"
     );
 }
 
