@@ -8,8 +8,7 @@
 //! remaining fully word-sensitive: dropping a word changes the features.
 
 use em_data::{Dataset, EntityPair};
-use em_text::{SparseVec, TfIdf, TokenArena};
-use std::collections::HashMap;
+use em_text::{IdHashMap, SparseVec, TfIdf, TokenArena};
 
 /// A fitted feature extractor (holds the TF-IDF vocabulary of the corpus).
 #[derive(Debug, Clone)]
@@ -34,12 +33,13 @@ pub struct ExtractScratch {
     tfidf_col: Vec<i32>,
     /// `(left cell, right cell)` → the six per-attribute features.
     /// `attribute_features` depends only on the two cell values, not on
-    /// the attribute index, so the key omits it.
-    attr_cache: HashMap<(u32, u32), [f64; PER_ATTRIBUTE_FEATURES]>,
+    /// the attribute index, so the key omits it. Keyed by arena ids, so
+    /// it hashes with [`em_text::IdHasher`].
+    attr_cache: IdHashMap<(u32, u32), [f64; PER_ATTRIBUTE_FEATURES]>,
     /// Directional `(token a, token b)` → `jaro_winkler(a, b)`; jaro's
     /// scan order differs between `(a, b)` and `(b, a)`, so the key is
     /// deliberately not symmetrised.
-    jw_cache: HashMap<(u32, u32), f64>,
+    jw_cache: IdHashMap<(u32, u32), f64>,
     /// Interned cell ids of the current pair's left and right records.
     key_l: Vec<u32>,
     key_r: Vec<u32>,
@@ -323,7 +323,7 @@ fn push_attribute_features(out: &mut Vec<f64>, l: &str, r: &str) {
 /// similarity on the raw cell text).
 fn interned_attribute_features(
     arena: &TokenArena,
-    jw_cache: &mut HashMap<(u32, u32), f64>,
+    jw_cache: &mut IdHashMap<(u32, u32), f64>,
     l: u32,
     r: u32,
 ) -> [f64; PER_ATTRIBUTE_FEATURES] {
@@ -357,7 +357,7 @@ fn interned_attribute_features(
 /// Both sides are known non-empty here.
 fn monge_elkan_ids(
     arena: &TokenArena,
-    jw_cache: &mut HashMap<(u32, u32), f64>,
+    jw_cache: &mut IdHashMap<(u32, u32), f64>,
     a: &[u32],
     b: &[u32],
 ) -> f64 {
@@ -390,11 +390,16 @@ mod proptests {
     proptest! {
         // The interned batch path is bitwise-equal to the scalar string
         // path on arbitrary cell content (empty, whitespace, non-ASCII,
-        // duplicates), and reusing one scratch across batches — or
-        // handing it a dirty output buffer — changes nothing.
+        // duplicates, multi-token cells of up to ~150 chars, so the
+        // string kernels run past one 64-char block), and reusing one
+        // scratch across batches — or handing it a dirty output buffer —
+        // changes nothing.
         #[test]
         fn interned_batch_matches_scalar_extract_bitwise(
-            cells in propcheck::collection::vec(".{0,12}", 8..16),
+            cells in propcheck::collection::vec(
+                propcheck::collection::vec(".{1,10}", 0..14).prop_map(|words| words.join(" ")),
+                8..16,
+            ),
         ) {
             let schema = Arc::new(Schema::new(vec!["name", "info"]));
             let rec =

@@ -13,12 +13,14 @@
 //! assert!(jaro_winkler("panasonic", "panasonik") > 0.9);
 //! ```
 
+pub mod idhash;
 pub mod intern;
 pub mod normalize;
 pub mod similarity;
 pub mod tfidf;
 pub mod tokenize;
 
+pub use idhash::{IdHashMap, IdHasher};
 pub use intern::TokenArena;
 pub use normalize::{
     canonical_number, canonical_unit, normalize_tokens, segment_letter_digit, tokenize_normalized,
