@@ -108,7 +108,7 @@ pub struct WordCluster {
     pub member_indices: Vec<usize>,
     /// Group-level signed importance (from the group surrogate).
     pub weight: f64,
-    /// Mean pairwise semantic similarity of the member words in [0,1]
+    /// Mean pairwise semantic similarity of the member words in `[0, 1]`
     /// (1 = perfectly coherent; singletons report 1).
     pub coherence: f64,
 }

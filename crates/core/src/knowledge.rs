@@ -103,7 +103,7 @@ pub fn attribute_distances(tokenized: &TokenizedPair) -> Matrix {
 }
 
 /// Importance distance: absolute difference of rank-normalised weights.
-/// Rank normalisation (fractional ranks mapped to [0,1]) makes the distance
+/// Rank normalisation (fractional ranks mapped to `[0, 1]`) makes the distance
 /// robust to the attribution scale of the underlying surrogate.
 pub fn importance_distances(weights: &[f64]) -> Matrix {
     let n = weights.len();

@@ -12,7 +12,7 @@
 //! explaining the model (perturbation attributions).
 //!
 //! The crate also hosts the shared substrate every baseline explainer in
-//! `em-baselines` builds on: the perturbation engine ([`perturb`]), the
+//! `em-baselines` builds on: the perturbation engine ([`perturb`](mod@perturb)), the
 //! LIME-style weighted-ridge surrogate ([`surrogate`]) and the
 //! [`Explainer`] trait with its common [`WordExplanation`] currency.
 //!

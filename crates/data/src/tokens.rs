@@ -175,7 +175,7 @@ impl TokenizedPair {
 ///   full (normalised) value are skipped entirely — SingleSide and
 ///   Landmark masks leave half the cells untouched every sample;
 /// - other cells are rewritten in place into their existing `String`
-///   capacity via [`Record::value_mut`].
+///   capacity via [`Record::value_mut`](crate::schema::Record::value_mut).
 ///
 /// The produced pair is bitwise-identical to `apply_mask`'s output (the
 /// same words joined by single spaces), so the scalar and buffered

@@ -262,7 +262,7 @@ impl<K: Eq + Hash + Clone> Clock<K> {
     }
 }
 
-/// A keyed map of coalescing [`Slot`]s with hit/miss accounting and an
+/// A keyed map of coalescing `Slot`s with hit/miss accounting and an
 /// optional byte budget (see the module docs). This is the shared
 /// machinery of [`ContextStore`] and [`ExplanationStore`]; `em-stream`
 /// builds its content-fingerprint stores on it directly.

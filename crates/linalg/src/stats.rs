@@ -148,7 +148,7 @@ pub fn kendall_tau(xs: &[f64], ys: &[f64]) -> f64 {
     ((concordant - discordant) as f64 / denom).clamp(-1.0, 1.0)
 }
 
-/// Min-max normalisation into [0,1]; constant input maps to all 0.5.
+/// Min-max normalisation into `[0, 1]`; constant input maps to all 0.5.
 pub fn min_max_normalize(xs: &[f64]) -> Vec<f64> {
     if xs.is_empty() {
         return Vec::new();

@@ -9,11 +9,11 @@
 //! the score — which is exactly the code path perturbation explainers
 //! exercise.
 
-use crate::matcher::{best_f1_threshold, Matcher};
+use crate::matcher::{best_f1_threshold, confusion_report, Matcher};
 use crate::scratch::ScratchPool;
 use em_data::{Dataset, EntityPair, Side};
 use em_embed::{EmbeddingOptions, WordEmbeddings};
-use em_linalg::stats::{sigmoid, softmax, softmax_into};
+use em_linalg::stats::{sigmoid, softmax_into};
 use em_rngs::rngs::StdRng;
 use em_rngs::seq::SliceRandom;
 use em_rngs::SeedableRng;
@@ -168,10 +168,14 @@ impl AlignScratch {
     }
 }
 
-/// [`alignment_features`] through the interned caches: fills
-/// `s.feats` with the same values (bitwise) the string path produces,
-/// reusing `s`'s token vectors, norms and per-attribute blocks across
-/// calls. Callers own the cache lifecycle (`s.clear()` per batch).
+/// Soft-alignment feature vector of a pair, written to `s.feats`.
+///
+/// Per attribute: mean and max of soft-alignment scores in both directions
+/// (L→R, R→L). Globally: overall token coverage both directions. Runs
+/// through the interned caches, reusing `s`'s token vectors, norms and
+/// per-attribute blocks across calls; every cached value is a pure
+/// function of the cell text, so the features do not depend on what `s`
+/// saw before. Callers own the cache lifecycle (`s.clear()` per batch).
 fn alignment_features_cached(
     emb: &WordEmbeddings,
     temperature: f64,
@@ -253,11 +257,15 @@ fn alignment_features_cached(
     s.feats.push(cov_rl);
 }
 
-/// [`direction_stats`] over interned token ids with memoized vectors
-/// and norms. Bitwise-identical: `cosine(q, k)` is replayed as
-/// `dot(q, k) / (nq · nk)` with the cached `nq = norm2(q)` — the same
-/// value the scalar path recomputes per call — and softmax/context use
-/// the same accumulation order through reused buffers.
+/// For each query token, attend over the key tokens with
+/// temperature-softmax on cosine and score the query against its
+/// attention-weighted context. Returns (mean, max) over queries; (0, 0)
+/// when either side is empty.
+///
+/// Tokens are arena ids into memoized vectors and norms: `cosine(q, k)`
+/// is computed as `dot(q, k) / (nq · nk)` with the cached `nq = norm2(q)`,
+/// the exact internal sequence of `em_linalg::cosine`, and the cosine
+/// memo (`cos_dim > 0`) only replays values it computed the same way.
 #[allow(clippy::too_many_arguments)]
 fn direction_stats_ids(
     vectors: &[Vec<f64>],
@@ -342,8 +350,7 @@ impl AttentionMatcher {
         let dims = n_attributes * PER_ATTR + GLOBAL;
 
         // Cached feature extraction: token vectors/norms are memoized
-        // across the whole split (bitwise ≡ `alignment_features`; see
-        // `features_cached_match_string_path`).
+        // across the whole split, the same path inference runs.
         let mut scratch = AlignScratch::default();
         let mut feats = |d: &Dataset| -> (Vec<Vec<f64>>, Vec<f64>) {
             scratch.clear();
@@ -420,10 +427,10 @@ impl AttentionMatcher {
         })
     }
 
-    /// Batch prediction through the interned per-batch caches. Bitwise
-    /// equal to the scalar loop (each cached value is a pure function
-    /// of cell text; see [`AlignScratch`]), which
-    /// `tests/tests/batch_equivalence.rs` pins.
+    /// Batch prediction through the interned per-batch caches. Each
+    /// cached value is a pure function of cell text (see
+    /// [`AlignScratch`]), so a pair's probability does not depend on the
+    /// rest of its batch, which `tests/tests/batch_equivalence.rs` pins.
     fn batch_with_scratch(&self, pairs: &[EntityPair], s: &mut AlignScratch) -> Vec<f64> {
         s.clear();
         let mut out = Vec::with_capacity(pairs.len());
@@ -448,84 +455,12 @@ impl AttentionMatcher {
 }
 
 fn head_f1(w: &[f64], b: f64, x: &[Vec<f64>], y: &[f64]) -> f64 {
-    let mut tp = 0;
-    let mut fp = 0;
-    let mut fn_ = 0;
-    for (f, &truth) in x.iter().zip(y) {
-        let pred = sigmoid(em_linalg::dot(w, f) + b) >= 0.5;
-        let t = truth > 0.5;
-        match (pred, t) {
-            (true, true) => tp += 1,
-            (true, false) => fp += 1,
-            (false, true) => fn_ += 1,
-            _ => {}
-        }
-    }
-    crate::matcher::report_from_counts(tp, fp, fn_, 0).f1
-}
-
-/// Soft-alignment feature vector of a pair.
-///
-/// Per attribute: mean and max of soft-alignment scores in both directions
-/// (L→R, R→L). Globally: overall token coverage both directions.
-fn alignment_features(
-    emb: &WordEmbeddings,
-    temperature: f64,
-    n_attributes: usize,
-    pair: &EntityPair,
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(n_attributes * PER_ATTR + GLOBAL);
-    let mut all_l: Vec<Vec<f64>> = Vec::new();
-    let mut all_r: Vec<Vec<f64>> = Vec::new();
-    for attr in 0..n_attributes {
-        let lt = em_text::tokenize(pair.record(Side::Left).value(attr));
-        let rt = em_text::tokenize(pair.record(Side::Right).value(attr));
-        let lv: Vec<Vec<f64>> = lt.iter().map(|w| emb.vector(w)).collect();
-        let rv: Vec<Vec<f64>> = rt.iter().map(|w| emb.vector(w)).collect();
-        let (mean_lr, max_lr) = direction_stats(&lv, &rv, temperature);
-        let (mean_rl, max_rl) = direction_stats(&rv, &lv, temperature);
-        out.push(mean_lr);
-        out.push(max_lr);
-        out.push(mean_rl);
-        out.push(max_rl);
-        all_l.extend(lv);
-        all_r.extend(rv);
-    }
-    let (cov_lr, _) = direction_stats(&all_l, &all_r, temperature);
-    let (cov_rl, _) = direction_stats(&all_r, &all_l, temperature);
-    out.push(cov_lr);
-    out.push(cov_rl);
-    out
-}
-
-/// For each query vector, attend over keys with temperature-softmax on
-/// cosine and score the query against its attention-weighted context.
-/// Returns (mean, max) over queries; (0,0) when either side is empty.
-fn direction_stats(queries: &[Vec<f64>], keys: &[Vec<f64>], temperature: f64) -> (f64, f64) {
-    if queries.is_empty() || keys.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mut sum = 0.0;
-    let mut max = f64::NEG_INFINITY;
-    for q in queries {
-        let sims: Vec<f64> = keys
-            .iter()
-            .map(|k| em_linalg::cosine(q, k) * temperature)
-            .collect();
-        let attn = softmax(&sims);
-        // Attention-weighted context vector (same `em_linalg::axpy` as the
-        // cached path, keeping the two paths bitwise in sync).
-        let mut ctx = vec![0.0; q.len()];
-        for (&a, k) in attn.iter().zip(keys) {
-            em_linalg::axpy(a, k, &mut ctx);
-        }
-        let score = em_linalg::cosine(q, &ctx).max(0.0);
-        sum += score;
-        if score > max {
-            max = score;
-        }
-    }
-    (sum / queries.len() as f64, max)
+    confusion_report(
+        x.iter()
+            .zip(y)
+            .map(|(f, &truth)| (sigmoid(em_linalg::dot(w, f) + b) >= 0.5, truth > 0.5)),
+    )
+    .f1
 }
 
 impl Matcher for AttentionMatcher {
@@ -534,8 +469,7 @@ impl Matcher for AttentionMatcher {
     }
 
     fn predict_proba(&self, pair: &EntityPair) -> f64 {
-        let f = alignment_features(&self.embeddings, self.temperature, self.n_attributes, pair);
-        sigmoid(em_linalg::dot(&self.weights, &f) + self.bias)
+        self.predict_proba_batch(std::slice::from_ref(pair))[0]
     }
 
     fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
@@ -556,7 +490,71 @@ impl Matcher for AttentionMatcher {
 mod tests {
     use super::*;
     use crate::matcher::evaluate;
+    use em_linalg::stats::softmax;
     use em_synth::{generate, Family, GeneratorConfig};
+
+    // A string-path twin of the alignment features, kept as their bitwise
+    // oracle: every token is embedded and every cosine computed afresh,
+    // with no arena and no memo.
+
+    /// Soft-alignment feature vector of a pair, on strings.
+    fn alignment_features(
+        emb: &WordEmbeddings,
+        temperature: f64,
+        n_attributes: usize,
+        pair: &EntityPair,
+    ) -> Vec<f64> {
+        let mut out = Vec::with_capacity(n_attributes * PER_ATTR + GLOBAL);
+        let mut all_l: Vec<Vec<f64>> = Vec::new();
+        let mut all_r: Vec<Vec<f64>> = Vec::new();
+        for attr in 0..n_attributes {
+            let lt = em_text::tokenize(pair.record(Side::Left).value(attr));
+            let rt = em_text::tokenize(pair.record(Side::Right).value(attr));
+            let lv: Vec<Vec<f64>> = lt.iter().map(|w| emb.vector(w)).collect();
+            let rv: Vec<Vec<f64>> = rt.iter().map(|w| emb.vector(w)).collect();
+            let (mean_lr, max_lr) = direction_stats(&lv, &rv, temperature);
+            let (mean_rl, max_rl) = direction_stats(&rv, &lv, temperature);
+            out.push(mean_lr);
+            out.push(max_lr);
+            out.push(mean_rl);
+            out.push(max_rl);
+            all_l.extend(lv);
+            all_r.extend(rv);
+        }
+        let (cov_lr, _) = direction_stats(&all_l, &all_r, temperature);
+        let (cov_rl, _) = direction_stats(&all_r, &all_l, temperature);
+        out.push(cov_lr);
+        out.push(cov_rl);
+        out
+    }
+
+    /// [`direction_stats_ids`] over owned vectors.
+    fn direction_stats(queries: &[Vec<f64>], keys: &[Vec<f64>], temperature: f64) -> (f64, f64) {
+        if queries.is_empty() || keys.is_empty() {
+            return (0.0, 0.0);
+        }
+        let mut sum = 0.0;
+        let mut max = f64::NEG_INFINITY;
+        for q in queries {
+            let sims: Vec<f64> = keys
+                .iter()
+                .map(|k| em_linalg::cosine(q, k) * temperature)
+                .collect();
+            let attn = softmax(&sims);
+            // Attention-weighted context vector (same `em_linalg::axpy` as the
+            // cached path, keeping the two paths bitwise in sync).
+            let mut ctx = vec![0.0; q.len()];
+            for (&a, k) in attn.iter().zip(keys) {
+                em_linalg::axpy(a, k, &mut ctx);
+            }
+            let score = em_linalg::cosine(q, &ctx).max(0.0);
+            sum += score;
+            if score > max {
+                max = score;
+            }
+        }
+        (sum / queries.len() as f64, max)
+    }
 
     fn splits(seed: u64) -> (Dataset, Dataset, Dataset) {
         let cfg = GeneratorConfig {
@@ -601,16 +599,34 @@ mod tests {
         );
     }
 
+    /// [`direction_stats_ids`] over token ids `0..vectors.len()`, with
+    /// and without the cosine memo; both must agree bitwise.
+    fn stats_ids(vectors: &[Vec<f64>], queries: &[u32], keys: &[u32], t: f64) -> (f64, f64) {
+        let norms: Vec<f64> = vectors.iter().map(|v| em_linalg::norm2(v)).collect();
+        let (mut sims, mut attn, mut ctx) = (Vec::new(), Vec::new(), Vec::new());
+        let mut run = |memo: &mut [f64], dim| {
+            direction_stats_ids(
+                vectors, &norms, queries, keys, t, memo, dim, &mut sims, &mut attn, &mut ctx,
+            )
+        };
+        let uncached = run(&mut [], 0);
+        let dim = vectors.len();
+        let cached = run(&mut vec![f64::NAN; dim * dim], dim);
+        assert_eq!(uncached.0.to_bits(), cached.0.to_bits());
+        assert_eq!(uncached.1.to_bits(), cached.1.to_bits());
+        uncached
+    }
+
     #[test]
     fn direction_stats_empty_inputs() {
-        assert_eq!(direction_stats(&[], &[vec![1.0]], 4.0), (0.0, 0.0));
-        assert_eq!(direction_stats(&[vec![1.0]], &[], 4.0), (0.0, 0.0));
+        assert_eq!(stats_ids(&[vec![1.0]], &[], &[0], 4.0), (0.0, 0.0));
+        assert_eq!(stats_ids(&[vec![1.0]], &[0], &[], 4.0), (0.0, 0.0));
     }
 
     #[test]
     fn direction_stats_identical_tokens_score_high() {
         let v = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
-        let (mean, max) = direction_stats(&v, &v, 8.0);
+        let (mean, max) = stats_ids(&v, &[0, 1], &[0, 1], 8.0);
         assert!(mean > 0.8, "mean {mean}");
         assert!(max > 0.9, "max {max}");
     }
@@ -645,7 +661,59 @@ mod tests {
     }
 
     #[test]
-    fn batch_prediction_matches_scalar_bitwise() {
+    fn features_past_the_cosine_memo_cutoff_match_string_path() {
+        let products = |entities, pairs| {
+            let cfg = GeneratorConfig {
+                entities,
+                pairs,
+                match_rate: 0.25,
+                hard_negative_rate: 0.5,
+                seed: 35,
+            };
+            generate(Family::Products, cfg)
+                .unwrap()
+                .split(0.7, 0.15, 35)
+                .unwrap()
+        };
+        let small = products(120, 400);
+        let m = AttentionMatcher::fit(&small.train, &small.validation, AttentionOptions::default())
+            .unwrap();
+        // This test split interns well over `COS_MEMO_MAX` distinct
+        // tokens, so one batch over it drops the cosine memo partway and
+        // scores its remaining pairs uncached.
+        let pairs: Vec<EntityPair> = products(400, 1200)
+            .test
+            .examples()
+            .iter()
+            .map(|e| e.pair.clone())
+            .collect();
+        let mut s = AlignScratch::default();
+        let mut past_cutoff = 0;
+        for pair in &pairs {
+            alignment_features_cached(&m.embeddings, m.temperature, m.n_attributes, pair, &mut s);
+            past_cutoff += usize::from(s.cos_dim == 0);
+            let want = alignment_features(&m.embeddings, m.temperature, m.n_attributes, pair);
+            assert_eq!(want.len(), s.feats.len());
+            for (a, b) in want.iter().zip(&s.feats) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+        assert!(
+            s.arena.n_tokens() > COS_MEMO_MAX,
+            "the batch interned only {} tokens",
+            s.arena.n_tokens()
+        );
+        assert!(past_cutoff > 0, "no pair was scored past the cutoff");
+        let batch = m.predict_proba_batch(&pairs);
+        for (pair, &b) in pairs.iter().zip(&batch) {
+            assert_eq!(m.predict_proba(pair).to_bits(), b.to_bits());
+        }
+    }
+
+    /// `predict_proba` is a batch of one, so this pins that a pair's
+    /// probability does not depend on the rest of its batch.
+    #[test]
+    fn batch_prediction_matches_batch_of_one_bitwise() {
         let (train, val, test) = splits(35);
         let m = AttentionMatcher::fit(&train, &val, AttentionOptions::default()).unwrap();
         let mut pairs: Vec<EntityPair> = test

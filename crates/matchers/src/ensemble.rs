@@ -182,4 +182,52 @@ mod tests {
         assert!(e.threshold() <= 0.6);
         assert!(e.predict(&val.examples()[0].pair));
     }
+
+    /// Scores 0.8 on equal cells, 0.2 on different ones, and NaN when
+    /// the left cell is empty.
+    struct NanOnEmpty;
+    impl Matcher for NanOnEmpty {
+        fn name(&self) -> &str {
+            "nan-on-empty"
+        }
+        fn predict_proba(&self, pair: &EntityPair) -> f64 {
+            match pair.left().value(0) {
+                "" => f64::NAN,
+                l if l == pair.right().value(0) => 0.8,
+                _ => 0.2,
+            }
+        }
+    }
+
+    #[test]
+    fn calibration_survives_a_nan_emitting_member() {
+        use em_data::{Label, LabeledPair};
+        let schema = Arc::new(Schema::new(vec!["t"]));
+        let example = |id: u64, l: &str, r: &str, label| LabeledPair {
+            pair: EntityPair::new(
+                Arc::clone(&schema),
+                Record::new(2 * id, vec![l.into()]),
+                Record::new(2 * id + 1, vec![r.into()]),
+            )
+            .unwrap(),
+            label,
+        };
+        let examples = vec![
+            example(0, "a", "a", Label::Match),
+            example(1, "a", "b", Label::NonMatch),
+            example(2, "", "a", Label::Match),
+        ];
+        let val = Dataset::new("v", Arc::clone(&schema), examples).unwrap();
+        let mut e = EnsembleMatcher::uniform(vec![
+            Arc::new(NanOnEmpty) as Arc<dyn Matcher>,
+            Arc::new(Constant(0.5)),
+        ])
+        .unwrap();
+        e.calibrate(&val);
+        // Ensemble scores 0.65, 0.35 and NaN: the NaN is no candidate, and
+        // the cut still separates the two finite scores.
+        assert!(e.threshold().is_finite(), "threshold {}", e.threshold());
+        assert!(e.predict(&val.examples()[0].pair));
+        assert!(!e.predict(&val.examples()[1].pair));
+    }
 }

@@ -32,8 +32,8 @@ pub struct ExtractScratch {
     /// vocabulary); extended lazily as the arena interns new tokens.
     tfidf_col: Vec<i32>,
     /// `(left cell, right cell)` → the six per-attribute features.
-    /// `attribute_features` depends only on the two cell values, not on
-    /// the attribute index, so the key omits it. Keyed by arena ids, so
+    /// The bundle depends only on the two cell values, not on the
+    /// attribute index, so the key omits it. Keyed by arena ids, so
     /// it hashes with [`em_text::IdHasher`].
     attr_cache: IdHashMap<(u32, u32), [f64; PER_ATTRIBUTE_FEATURES]>,
     /// Directional `(token a, token b)` → `jaro_winkler(a, b)`; jaro's
@@ -145,38 +145,7 @@ impl FeatureExtractor {
         self.n_attributes * PER_ATTRIBUTE_FEATURES + GLOBAL_FEATURES
     }
 
-    /// Extract the feature vector of a pair.
-    ///
-    /// # Panics
-    /// Panics in debug builds if the pair's schema size differs from the
-    /// fitted one; in release the extra/missing attributes are truncated or
-    /// zero-filled (defensive for perturbed pairs, which keep the schema).
-    pub fn extract(&self, pair: &EntityPair) -> Vec<f64> {
-        debug_assert_eq!(
-            pair.schema().len(),
-            self.n_attributes,
-            "schema size changed"
-        );
-        let mut out = Vec::with_capacity(self.dimensions());
-        for attr in 0..self.n_attributes.min(pair.schema().len()) {
-            let l = pair.left().value(attr);
-            let r = pair.right().value(attr);
-            push_attribute_features(&mut out, l, r);
-        }
-        while out.len() < self.n_attributes * PER_ATTRIBUTE_FEATURES {
-            out.push(0.0);
-        }
-        // Whole-record features.
-        let lt = em_text::tokenize(&pair.left().full_text());
-        let rt = em_text::tokenize(&pair.right().full_text());
-        out.push(self.tfidf.cosine(&lt, &rt));
-        out.push(em_text::jaccard(&lt, &rt));
-        out.push(em_text::overlap_coefficient(&lt, &rt));
-        out
-    }
-
-    /// Extract the feature matrix of a batch of pairs (one row per pair),
-    /// bitwise-identical to stacking [`FeatureExtractor::extract`] rows.
+    /// Extract the feature matrix of a batch of pairs (one row per pair).
     ///
     /// Thin wrapper over [`FeatureExtractor::extract_batch_into`] with a
     /// fresh scratch; hot callers (the matchers' `predict_proba_batch`)
@@ -189,8 +158,9 @@ impl FeatureExtractor {
     }
 
     /// Extract a batch of pairs into a caller-provided row-major buffer
-    /// (`pairs.len() × dimensions()`, fully overwritten), bitwise-identical
-    /// to stacking [`FeatureExtractor::extract`] rows.
+    /// (`pairs.len() × dimensions()`, fully overwritten). This is the
+    /// extractor's only implementation: training, single pairs (a batch
+    /// of one) and perturbation batches all run through it.
     ///
     /// Perturbed batches are highly redundant — drop masks leave most
     /// `(side, attribute)` cells untouched, and SingleSide/Landmark masks
@@ -204,8 +174,14 @@ impl FeatureExtractor {
     /// splits on non-alphanumerics, so per-cell token sequences
     /// concatenate to exactly the full-record tokenisation. The caches
     /// live only for the call (the scratch is cleared on entry): no
-    /// invalidation, no locking, and every cached value is computed by
-    /// kernels proven bitwise-equal to the scalar string path.
+    /// invalidation, no locking, and a hit returns exactly what a miss
+    /// would compute, so a pair's row does not depend on the rest of its
+    /// batch. A string-path oracle in the tests pins every row bitwise.
+    ///
+    /// # Panics
+    /// Panics in debug builds if a pair's schema size differs from the
+    /// fitted one; in release the extra/missing attributes are truncated or
+    /// zero-filled (defensive for perturbed pairs, which keep the schema).
     pub fn extract_batch_into(
         &self,
         pairs: &[EntityPair],
@@ -272,55 +248,20 @@ impl FeatureExtractor {
 
     /// Extract features for every pair of a dataset along with labels.
     pub fn extract_dataset(&self, data: &Dataset) -> (em_linalg::Matrix, Vec<f64>) {
-        let rows: Vec<Vec<f64>> = data
-            .examples()
-            .iter()
-            .map(|ex| self.extract(&ex.pair))
-            .collect();
+        let pairs: Vec<EntityPair> = data.examples().iter().map(|ex| ex.pair.clone()).collect();
         let y: Vec<f64> = data.examples().iter().map(|ex| ex.label.as_f64()).collect();
-        (em_linalg::Matrix::from_rows(&rows), y)
+        (self.extract_batch(&pairs), y)
     }
 }
 
-/// The per-attribute similarity bundle; the single implementation both
-/// the scalar and batched extraction paths share.
-fn attribute_features(l: &str, r: &str) -> [f64; PER_ATTRIBUTE_FEATURES] {
-    let lt = em_text::tokenize(l);
-    let rt = em_text::tokenize(r);
-    let both_empty = lt.is_empty() && rt.is_empty();
-    let one_empty = lt.is_empty() != rt.is_empty();
-    // Null indicators first: similarity features are forced to 0 when either
-    // side is missing so "both null" is not mistaken for "identical".
-    if both_empty || one_empty {
-        return [
-            0.0, // jaccard
-            0.0, // monge-elkan
-            0.0, // qgram jaccard
-            0.0, // numeric/string sim
-            if one_empty { 1.0 } else { 0.0 },
-            if both_empty { 1.0 } else { 0.0 },
-        ];
-    }
-    [
-        em_text::jaccard(&lt, &rt),
-        em_text::monge_elkan_sym(&lt, &rt),
-        em_text::qgram_jaccard(&l.to_lowercase(), &r.to_lowercase(), 3),
-        em_text::numeric_or_string_similarity(l, r),
-        0.0,
-        0.0,
-    ]
-}
-
-fn push_attribute_features(out: &mut Vec<f64>, l: &str, r: &str) {
-    out.extend_from_slice(&attribute_features(l, r));
-}
-
-/// Interned twin of [`attribute_features`]: identical rules in identical
-/// order, operating on arena id slices. Bitwise-equal to the string path
-/// because every kernel either reduces to integer set counts
-/// ([`em_text::jaccard_sorted_ids`] over token/gram ids) or consumes the
-/// exact same strings (Jaro-Winkler on interned token text, numeric
-/// similarity on the raw cell text).
+/// The per-attribute similarity bundle of one `(left, right)` cell pair,
+/// on arena id slices. Null indicators come first: the similarity
+/// features are forced to 0 when either side is missing, so "both null"
+/// is not mistaken for "identical". Every kernel either reduces to
+/// integer set counts ([`em_text::jaccard_sorted_ids`] over token/gram
+/// ids) or consumes the cell's own strings (Jaro-Winkler on interned
+/// token text, numeric similarity on the raw cell text), so the values
+/// do not depend on how the batch assigned ids.
 fn interned_attribute_features(
     arena: &TokenArena,
     jw_cache: &mut IdHashMap<(u32, u32), f64>,
@@ -333,10 +274,10 @@ fn interned_attribute_features(
     let one_empty = lt.is_empty() != rt.is_empty();
     if both_empty || one_empty {
         return [
-            0.0,
-            0.0,
-            0.0,
-            0.0,
+            0.0, // jaccard
+            0.0, // monge-elkan
+            0.0, // qgram jaccard
+            0.0, // numeric/string sim
             if one_empty { 1.0 } else { 0.0 },
             if both_empty { 1.0 } else { 0.0 },
         ];
@@ -380,6 +321,60 @@ fn monge_elkan_ids(
     sum / a.len() as f64
 }
 
+/// A string-path twin of the extractor, kept as the bitwise oracle of its
+/// rows: every kernel runs on the cells' strings, with no arena and no
+/// cache.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// The feature vector of one pair.
+    pub(super) fn extract(fe: &FeatureExtractor, pair: &EntityPair) -> Vec<f64> {
+        let mut out = Vec::with_capacity(fe.dimensions());
+        for attr in 0..fe.n_attributes.min(pair.schema().len()) {
+            let l = pair.left().value(attr);
+            let r = pair.right().value(attr);
+            out.extend_from_slice(&attribute_features(l, r));
+        }
+        while out.len() < fe.n_attributes * PER_ATTRIBUTE_FEATURES {
+            out.push(0.0);
+        }
+        // Whole-record features.
+        let lt = em_text::tokenize(&pair.left().full_text());
+        let rt = em_text::tokenize(&pair.right().full_text());
+        out.push(fe.tfidf.cosine(&lt, &rt));
+        out.push(em_text::jaccard(&lt, &rt));
+        out.push(em_text::overlap_coefficient(&lt, &rt));
+        out
+    }
+
+    /// The per-attribute similarity bundle on strings.
+    fn attribute_features(l: &str, r: &str) -> [f64; PER_ATTRIBUTE_FEATURES] {
+        let lt = em_text::tokenize(l);
+        let rt = em_text::tokenize(r);
+        let both_empty = lt.is_empty() && rt.is_empty();
+        let one_empty = lt.is_empty() != rt.is_empty();
+        if both_empty || one_empty {
+            return [
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+                if one_empty { 1.0 } else { 0.0 },
+                if both_empty { 1.0 } else { 0.0 },
+            ];
+        }
+        [
+            em_text::jaccard(&lt, &rt),
+            em_text::monge_elkan_sym(&lt, &rt),
+            em_text::qgram_jaccard(&l.to_lowercase(), &r.to_lowercase(), 3),
+            em_text::numeric_or_string_similarity(l, r),
+            0.0,
+            0.0,
+        ]
+    }
+}
+
 #[cfg(test)]
 mod proptests {
     use super::*;
@@ -388,8 +383,8 @@ mod proptests {
     use std::sync::Arc;
 
     proptest! {
-        // The interned batch path is bitwise-equal to the scalar string
-        // path on arbitrary cell content (empty, whitespace, non-ASCII,
+        // The interned batch path is bitwise-equal to the string oracle
+        // on arbitrary cell content (empty, whitespace, non-ASCII,
         // duplicates, multi-token cells of up to ~150 chars, so the
         // string kernels run past one 64-char block), and reusing one
         // scratch across batches — or handing it a dirty output buffer —
@@ -433,9 +428,9 @@ mod proptests {
             fe.extract_batch_into(&pairs, &mut scratch, &mut buf);
             prop_assert_eq!(buf.len(), pairs.len() * fe.dimensions());
             for (i, pair) in pairs.iter().enumerate() {
-                let scalar = fe.extract(pair);
+                let want = oracle::extract(&fe, pair);
                 let row = &buf[i * fe.dimensions()..(i + 1) * fe.dimensions()];
-                for (a, b) in row.iter().zip(&scalar) {
+                for (a, b) in row.iter().zip(&want) {
                     prop_assert_eq!(a.to_bits(), b.to_bits());
                 }
             }
@@ -455,6 +450,11 @@ mod tests {
     use super::*;
     use em_data::{Label, LabeledPair, Record, Schema};
     use std::sync::Arc;
+
+    /// The production feature row of one pair: a batch of one.
+    fn extract(fe: &FeatureExtractor, pair: &EntityPair) -> Vec<f64> {
+        fe.extract_batch(std::slice::from_ref(pair)).row(0).to_vec()
+    }
 
     fn dataset() -> Dataset {
         let schema = Arc::new(Schema::new(vec!["title", "price"]));
@@ -496,7 +496,7 @@ mod tests {
         let d = dataset();
         let fe = FeatureExtractor::fit(&d);
         for ex in d.examples() {
-            let f = fe.extract(&ex.pair);
+            let f = extract(&fe, &ex.pair);
             assert_eq!(f.len(), fe.dimensions());
             for &v in &f {
                 assert!((0.0..=1.0 + 1e-9).contains(&v), "feature out of range: {v}");
@@ -508,8 +508,8 @@ mod tests {
     fn matching_pair_scores_higher_overall() {
         let d = dataset();
         let fe = FeatureExtractor::fit(&d);
-        let fm = fe.extract(&d.examples()[0].pair);
-        let fn_ = fe.extract(&d.examples()[1].pair);
+        let fm = extract(&fe, &d.examples()[0].pair);
+        let fn_ = extract(&fe, &d.examples()[1].pair);
         let sum_m: f64 = fm.iter().sum();
         let sum_n: f64 = fn_.iter().sum();
         assert!(sum_m > sum_n);
@@ -526,7 +526,7 @@ mod tests {
             Record::new(11, vec!["x".into(), "5".into()]),
         )
         .unwrap();
-        let f = fe.extract(&pair);
+        let f = extract(&fe, &pair);
         // price attribute block starts at PER_ATTRIBUTE_FEATURES; index 4 is
         // one-empty, 5 is both-empty.
         assert_eq!(f[PER_ATTRIBUTE_FEATURES + 4], 1.0);
@@ -538,7 +538,7 @@ mod tests {
             Record::new(13, vec!["x".into(), "".into()]),
         )
         .unwrap();
-        let f2 = fe.extract(&pair2);
+        let f2 = extract(&fe, &pair2);
         assert_eq!(f2[PER_ATTRIBUTE_FEATURES + 4], 0.0);
         assert_eq!(f2[PER_ATTRIBUTE_FEATURES + 5], 1.0);
         // Similarities zeroed when null present.
@@ -550,12 +550,12 @@ mod tests {
         let d = dataset();
         let fe = FeatureExtractor::fit(&d);
         let pair = &d.examples()[0].pair;
-        let full = fe.extract(pair);
+        let full = extract(&fe, pair);
         let mut perturbed = pair.clone();
         perturbed
             .record_mut(em_data::Side::Left)
             .set_value(0, "tv 55".into());
-        let dropped = fe.extract(&perturbed);
+        let dropped = extract(&fe, &perturbed);
         assert_ne!(full, dropped);
     }
 
@@ -577,10 +577,10 @@ mod tests {
         let x = fe.extract_batch(&pairs);
         assert_eq!(x.rows(), pairs.len());
         for (i, p) in pairs.iter().enumerate() {
-            let f = fe.extract(p);
+            let f = oracle::extract(&fe, p);
             let batch_bits: Vec<u64> = x.row(i).iter().map(|v| v.to_bits()).collect();
-            let scalar_bits: Vec<u64> = f.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(batch_bits, scalar_bits, "row {i} differs");
+            let oracle_bits: Vec<u64> = f.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(batch_bits, oracle_bits, "row {i} differs");
         }
     }
 
@@ -592,5 +592,14 @@ mod tests {
         assert_eq!(x.rows(), 2);
         assert_eq!(x.cols(), fe.dimensions());
         assert_eq!(y, vec![1.0, 0.0]);
+        // Training rows are the string path's rows, bit for bit.
+        for (i, ex) in d.examples().iter().enumerate() {
+            let want: Vec<u64> = oracle::extract(&fe, &ex.pair)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let got: Vec<u64> = x.row(i).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "row {i} differs");
+        }
     }
 }

@@ -13,7 +13,13 @@
 //!   code path);
 //! - [`RuleMatcher`]: an untrained weighted-similarity baseline.
 //!
-//! All implement the [`Matcher`] trait consumed by `crew-core`.
+//! All implement the [`Matcher`] trait consumed by `crew-core`. The three
+//! trained models have one inference path each: the batch path
+//! ([`Matcher::predict_proba_batch`]) is the implementation, and
+//! `predict_proba` is a batch of one. Training extracts its features
+//! through the same path. A pair's probability never depends on the rest
+//! of its batch, so batching is value-invisible. String-path twins of the
+//! extractors exist only in the tests, as bitwise oracles.
 
 // Index-based loops are kept where they mirror the textbook formulation
 // of the numeric kernels; iterator rewrites obscure the math.
@@ -49,7 +55,7 @@ pub enum MatcherError {
     NoRules,
     /// Rule weight was non-positive or non-finite.
     InvalidRuleWeight,
-    /// Threshold outside [0,1].
+    /// Threshold outside `[0, 1]`.
     InvalidThreshold(f64),
     /// Embedding training failed.
     Embedding(em_embed::EmbedError),

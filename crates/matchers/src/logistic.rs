@@ -1,7 +1,7 @@
 //! Logistic-regression matcher over the Magellan-style feature table.
 
 use crate::features::{BatchScratch, FeatureExtractor};
-use crate::matcher::{best_f1_threshold, Matcher};
+use crate::matcher::{best_f1_threshold, confusion_report, Matcher};
 use crate::scratch::ScratchPool;
 use em_data::{Dataset, EntityPair};
 use em_linalg::stats::sigmoid;
@@ -162,20 +162,10 @@ impl LogisticMatcher {
 }
 
 fn f1_of_linear(w: &[f64], b: f64, x: &em_linalg::Matrix, y: &[f64]) -> f64 {
-    let mut tp = 0usize;
-    let mut fp = 0usize;
-    let mut fn_ = 0usize;
-    for i in 0..x.rows() {
-        let pred = sigmoid(em_linalg::dot(w, x.row(i)) + b) >= 0.5;
-        let truth = y[i] > 0.5;
-        match (pred, truth) {
-            (true, true) => tp += 1,
-            (true, false) => fp += 1,
-            (false, true) => fn_ += 1,
-            _ => {}
-        }
-    }
-    crate::matcher::report_from_counts(tp, fp, fn_, 0).f1
+    confusion_report(
+        (0..x.rows()).map(|i| (sigmoid(em_linalg::dot(w, x.row(i)) + b) >= 0.5, y[i] > 0.5)),
+    )
+    .f1
 }
 
 impl Matcher for LogisticMatcher {
@@ -184,16 +174,14 @@ impl Matcher for LogisticMatcher {
     }
 
     fn predict_proba(&self, pair: &EntityPair) -> f64 {
-        let f = self.extractor.extract(pair);
-        sigmoid(em_linalg::dot(&self.weights, &f) + self.bias)
+        self.predict_proba_batch(std::slice::from_ref(pair))[0]
     }
 
     /// One interned feature-extraction pass into a reused row-major
     /// buffer, then `sigmoid(dot(weights, row) + bias)` per row — the
-    /// same kernel and accumulation order as the scalar path, so the
-    /// outputs are bitwise identical. The scratch only caches
-    /// allocations; under lock contention a fresh local scratch produces
-    /// the same values.
+    /// kernel training scores its rows with. The scratch only caches
+    /// allocations, so which pooled scratch a call draws changes no
+    /// value.
     fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
         let mut s = self.scratch.take();
         let out = self.batch_with_scratch(pairs, &mut s);
@@ -243,8 +231,10 @@ mod tests {
         }
     }
 
+    /// `predict_proba` is a batch of one, so this pins that a pair's
+    /// probability does not depend on the rest of its batch.
     #[test]
-    fn batch_prediction_matches_scalar_bitwise() {
+    fn batch_prediction_matches_batch_of_one_bitwise() {
         let (train, val, test) = splits(6);
         let m = LogisticMatcher::fit(&train, &val, TrainOptions::default()).unwrap();
         let pairs: Vec<em_data::EntityPair> = test

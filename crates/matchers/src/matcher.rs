@@ -1,26 +1,35 @@
 //! The `Matcher` abstraction every explainer targets: a black box mapping
 //! a pair of entity descriptions to a match probability.
 
-use em_data::{Dataset, EntityPair, Label};
+use em_data::{Dataset, EntityPair};
 
 /// A (possibly trained) entity-matching model.
 ///
-/// Explainers only rely on [`Matcher::predict_proba`]; `Send + Sync` lets
-/// the perturbation engine fan queries out across threads.
+/// Explainers ask a matcher only for the probabilities of (rebuilt)
+/// pairs, the perturbation engine always through
+/// [`Matcher::predict_proba_batch`]; `Send + Sync` lets it fan queries
+/// out across threads.
 pub trait Matcher: Send + Sync {
     /// Human-readable model name for reports.
     fn name(&self) -> &str;
 
     /// Match probability in `[0, 1]`.
+    ///
+    /// A model with batched inference implements this as a batch of one,
+    /// `self.predict_proba_batch(std::slice::from_ref(pair))[0]`, so it
+    /// has a single inference path.
     fn predict_proba(&self, pair: &EntityPair) -> f64;
 
     /// Match probabilities for a batch of pairs.
     ///
-    /// The default maps [`Matcher::predict_proba`] over the slice; models
-    /// with vectorisable inference (logistic, MLP) override it to extract
-    /// features into one matrix and predict in a single pass. Overrides
-    /// must return bitwise-identical values to the scalar path — the
-    /// perturbation engine treats the two as interchangeable under the
+    /// The default maps [`Matcher::predict_proba`] over the slice, which
+    /// is all a simple matcher (rules, ensemble, calibration wrapper)
+    /// needs. The trained models (logistic, MLP, attention) implement
+    /// their inference here, interning the batch's cells once and
+    /// sharing per-call caches across its pairs. Either way, a pair's
+    /// probability must not depend on the other pairs in its batch, on
+    /// their order, or on which pooled scratch serves the call: the
+    /// perturbation engine dedups and splits batches freely under the
     /// determinism contract.
     fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
         pairs.iter().map(|p| self.predict_proba(p)).collect()
@@ -52,28 +61,36 @@ pub struct EvalReport {
 
 /// Evaluate a matcher's hard decisions against ground truth.
 pub fn evaluate(matcher: &dyn Matcher, data: &Dataset) -> EvalReport {
-    let mut tp = 0;
-    let mut fp = 0;
-    let mut fn_ = 0;
-    let mut tn = 0;
-    // One batched query instead of a scalar loop: overrides are pinned
-    // bitwise-identical to `predict_proba`, so thresholded decisions
-    // cannot differ.
+    // One batched query instead of a per-pair loop: a pair's probability
+    // does not depend on the rest of its batch, so the thresholded
+    // decisions are those of single-pair calls.
     let pairs: Vec<EntityPair> = data.examples().iter().map(|ex| ex.pair.clone()).collect();
     let probs = matcher.predict_proba_batch(&pairs);
-    for (ex, &p) in data.examples().iter().zip(&probs) {
-        let pred = p >= matcher.threshold();
-        match (pred, ex.label) {
-            (true, Label::Match) => tp += 1,
-            (true, Label::NonMatch) => fp += 1,
-            (false, Label::Match) => fn_ += 1,
-            (false, Label::NonMatch) => tn += 1,
+    let threshold = matcher.threshold();
+    confusion_report(
+        data.examples()
+            .iter()
+            .zip(&probs)
+            .map(|(ex, &p)| (p >= threshold, ex.label.is_match())),
+    )
+}
+
+/// Count `(predicted, actual)` outcomes into a confusion matrix and
+/// derive its report.
+pub(crate) fn confusion_report(outcomes: impl IntoIterator<Item = (bool, bool)>) -> EvalReport {
+    let (mut tp, mut fp, mut fn_, mut tn) = (0, 0, 0, 0);
+    for outcome in outcomes {
+        match outcome {
+            (true, true) => tp += 1,
+            (true, false) => fp += 1,
+            (false, true) => fn_ += 1,
+            (false, false) => tn += 1,
         }
     }
     report_from_counts(tp, fp, fn_, tn)
 }
 
-pub(crate) fn report_from_counts(tp: usize, fp: usize, fn_: usize, tn: usize) -> EvalReport {
+fn report_from_counts(tp: usize, fp: usize, fn_: usize, tn: usize) -> EvalReport {
     let precision = if tp + fp == 0 {
         0.0
     } else {
@@ -108,33 +125,23 @@ pub(crate) fn report_from_counts(tp: usize, fp: usize, fn_: usize, tn: usize) ->
 }
 
 /// Find the threshold maximising F1 on a labelled dataset (scans the
-/// model's own scores as candidate cut points).
+/// model's own scores as candidate cut points). A NaN score is never a
+/// candidate; under `score >= threshold` it counts as a predicted
+/// non-match.
 pub fn best_f1_threshold(scores: &[f64], labels: &[bool]) -> f64 {
     assert_eq!(scores.len(), labels.len(), "scores/labels length mismatch");
     if scores.is_empty() {
         return 0.5;
     }
-    let mut candidates: Vec<f64> = scores.to_vec();
+    let mut candidates: Vec<f64> = scores.iter().copied().filter(|s| !s.is_nan()).collect();
     candidates.push(0.5);
-    candidates.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    candidates.sort_by(|a, b| a.partial_cmp(b).expect("NaN scores are filtered out"));
     candidates.dedup();
     let mut best = (0.5, -1.0);
     for &t in &candidates {
-        let mut tp = 0;
-        let mut fp = 0;
-        let mut fn_ = 0;
-        for (&s, &l) in scores.iter().zip(labels) {
-            let pred = s >= t;
-            match (pred, l) {
-                (true, true) => tp += 1,
-                (true, false) => fp += 1,
-                (false, true) => fn_ += 1,
-                _ => {}
-            }
-        }
-        let r = report_from_counts(tp, fp, fn_, 0);
-        if r.f1 > best.1 {
-            best = (t, r.f1);
+        let f1 = confusion_report(scores.iter().zip(labels).map(|(&s, &l)| (s >= t, l))).f1;
+        if f1 > best.1 {
+            best = (t, f1);
         }
     }
     best.0
@@ -143,7 +150,7 @@ pub fn best_f1_threshold(scores: &[f64], labels: &[bool]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_data::{LabeledPair, Record, Schema};
+    use em_data::{Label, LabeledPair, Record, Schema};
     use std::sync::Arc;
 
     /// A matcher that thresholds on token Jaccard — handy for tests.
@@ -240,5 +247,14 @@ mod tests {
         // All same score: still returns a finite threshold.
         let t = best_f1_threshold(&[0.7, 0.7], &[true, false]);
         assert!(t.is_finite());
+        // A NaN score is no candidate and counts as a missed match:
+        // cutting at 0.1 admits the negative (F1 1/2), 0.5 and 0.9 do not
+        // (F1 2/3), and the first best cut wins.
+        let t = best_f1_threshold(&[f64::NAN, 0.9, 0.1], &[true, true, false]);
+        assert_eq!(t, 0.5);
+        assert_eq!(
+            best_f1_threshold(&[f64::NAN, f64::NAN], &[true, false]),
+            0.5
+        );
     }
 }

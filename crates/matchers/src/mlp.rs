@@ -6,7 +6,7 @@
 
 use crate::features::{BatchScratch, FeatureExtractor};
 use crate::logistic::TrainOptions;
-use crate::matcher::{best_f1_threshold, Matcher};
+use crate::matcher::{best_f1_threshold, confusion_report, Matcher};
 use crate::scratch::ScratchPool;
 use em_data::{Dataset, EntityPair};
 use em_linalg::stats::sigmoid;
@@ -137,7 +137,7 @@ impl MlpMatcher {
         let mut stale = 0usize;
 
         // Reusable activation buffers.
-        let (mut a1, mut a2, mut a3) = (Vec::new(), Vec::new(), Vec::new());
+        let mut act = Activations::default();
 
         for _epoch in 0..opts.epochs {
             order.shuffle(&mut rng);
@@ -147,12 +147,8 @@ impl MlpMatcher {
                 let mut g3 = vec![0.0; l3.w.len() + l3.b.len()];
                 for &i in batch {
                     let input = x.row(i);
-                    l1.forward(input, &mut a1);
-                    relu(&mut a1);
-                    l2.forward(&a1, &mut a2);
-                    relu(&mut a2);
-                    l3.forward(&a2, &mut a3);
-                    let pred = sigmoid(a3[0]);
+                    let pred = forward(&l1, &l2, &l3, input, &mut act);
+                    let (a1, a2) = (&act.a1, &act.a2);
                     let weight = if y[i] > 0.5 {
                         opts.positive_weight
                     } else {
@@ -239,7 +235,7 @@ impl MlpMatcher {
             (&x, &y)
         };
         let scores: Vec<f64> = (0..cal_x.rows())
-            .map(|i| forward_proba(&l1, &l2, &l3, cal_x.row(i)))
+            .map(|i| forward(&l1, &l2, &l3, cal_x.row(i), &mut act))
             .collect();
         let labels: Vec<bool> = cal_y.iter().map(|&v| v > 0.5).collect();
         let threshold = best_f1_threshold(&scores, &labels);
@@ -257,20 +253,11 @@ impl MlpMatcher {
     fn batch_with_scratch(&self, pairs: &[EntityPair], scratch: &mut BatchScratch) -> Vec<f64> {
         self.extractor
             .extract_batch_into(pairs, &mut scratch.extract, &mut scratch.features);
-        let mut a1 = Vec::new();
-        let mut a2 = Vec::new();
-        let mut a3 = Vec::new();
+        let mut act = Activations::default();
         scratch
             .features
             .chunks_exact(self.extractor.dimensions())
-            .map(|row| {
-                self.l1.forward(row, &mut a1);
-                relu(&mut a1);
-                self.l2.forward(&a1, &mut a2);
-                relu(&mut a2);
-                self.l3.forward(&a2, &mut a3);
-                sigmoid(a3[0])
-            })
+            .map(|row| forward(&self.l1, &self.l2, &self.l3, row, &mut act))
             .collect()
     }
 }
@@ -288,33 +275,32 @@ fn step_layer(layer: &mut Layer, adam: &mut Adam, grads: &[f64], lr: f64, l2_pen
     layer.b.copy_from_slice(&params[nw..]);
 }
 
-fn forward_proba(l1: &Layer, l2: &Layer, l3: &Layer, input: &[f64]) -> f64 {
-    let mut a1 = Vec::new();
-    let mut a2 = Vec::new();
-    let mut a3 = Vec::new();
-    l1.forward(input, &mut a1);
-    relu(&mut a1);
-    l2.forward(&a1, &mut a2);
-    relu(&mut a2);
-    l3.forward(&a2, &mut a3);
-    sigmoid(a3[0])
+/// Per-layer activations of one forward pass: reused across rows, and
+/// read back by training's backprop.
+#[derive(Debug, Default)]
+struct Activations {
+    a1: Vec<f64>,
+    a2: Vec<f64>,
+    a3: Vec<f64>,
+}
+
+/// Features → ReLU → ReLU → sigmoid, one row at a time. Training,
+/// threshold calibration and inference all score rows through it.
+fn forward(l1: &Layer, l2: &Layer, l3: &Layer, input: &[f64], act: &mut Activations) -> f64 {
+    l1.forward(input, &mut act.a1);
+    relu(&mut act.a1);
+    l2.forward(&act.a1, &mut act.a2);
+    relu(&mut act.a2);
+    l3.forward(&act.a2, &mut act.a3);
+    sigmoid(act.a3[0])
 }
 
 fn f1_of(l1: &Layer, l2: &Layer, l3: &Layer, x: &em_linalg::Matrix, y: &[f64]) -> f64 {
-    let mut tp = 0;
-    let mut fp = 0;
-    let mut fn_ = 0;
-    for i in 0..x.rows() {
-        let pred = forward_proba(l1, l2, l3, x.row(i)) >= 0.5;
-        let truth = y[i] > 0.5;
-        match (pred, truth) {
-            (true, true) => tp += 1,
-            (true, false) => fp += 1,
-            (false, true) => fn_ += 1,
-            _ => {}
-        }
-    }
-    crate::matcher::report_from_counts(tp, fp, fn_, 0).f1
+    let mut act = Activations::default();
+    confusion_report(
+        (0..x.rows()).map(|i| (forward(l1, l2, l3, x.row(i), &mut act) >= 0.5, y[i] > 0.5)),
+    )
+    .f1
 }
 
 impl Matcher for MlpMatcher {
@@ -323,8 +309,7 @@ impl Matcher for MlpMatcher {
     }
 
     fn predict_proba(&self, pair: &EntityPair) -> f64 {
-        let f = self.extractor.extract(pair);
-        forward_proba(&self.l1, &self.l2, &self.l3, &f)
+        self.predict_proba_batch(std::slice::from_ref(pair))[0]
     }
 
     /// One interned feature-extraction pass into a reused row-major
@@ -333,9 +318,10 @@ impl Matcher for MlpMatcher {
     ///
     /// Deliberately NOT `Matrix::matmul`: its zero-skip optimisation can
     /// flip a `-0.0` accumulator to `+0.0` relative to the dot-product
-    /// path (and ReLU produces exact zeros), which would break bitwise
-    /// equality with [`Matcher::predict_proba`]. Per-row `Layer::forward`
-    /// reproduces the scalar accumulation order exactly.
+    /// path (and ReLU produces exact zeros). The per-row `forward` is the
+    /// one training runs on every row (early stopping, threshold
+    /// calibration), so served scores keep the bits training saw and the
+    /// pinned output digests keep theirs.
     fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
         let mut s = self.scratch.take();
         let out = self.batch_with_scratch(pairs, &mut s);
@@ -385,8 +371,10 @@ mod tests {
         }
     }
 
+    /// `predict_proba` is a batch of one, so this pins that a pair's
+    /// probability does not depend on the rest of its batch.
     #[test]
-    fn batch_prediction_matches_scalar_bitwise() {
+    fn batch_prediction_matches_batch_of_one_bitwise() {
         let (train, val, test) = splits(12);
         let m = MlpMatcher::fit(&train, &val, TrainOptions::default()).unwrap();
         let pairs: Vec<em_data::EntityPair> = test

@@ -9,8 +9,8 @@
 //!
 //! Scratches are pure allocation/memo caches cleared (or fully
 //! overwritten) by their consumers, so which physical scratch a call
-//! receives can never change a value — the batch ≡ scalar and dirty-
-//! scratch-rerun bitwise tests pin this.
+//! receives can never change a value — the batch ≡ batch-of-one and
+//! dirty-scratch-rerun bitwise tests pin this.
 
 use std::sync::Mutex;
 
@@ -46,7 +46,7 @@ impl<T: Default> ScratchPool<T> {
     }
 
     /// Return a scratch for reuse; dropped silently once the pool holds
-    /// [`POOL_CAP`] idle entries.
+    /// `POOL_CAP` (8) idle entries.
     pub fn put(&self, scratch: T) {
         if let Ok(mut idle) = self.idle.lock() {
             if idle.len() < POOL_CAP {

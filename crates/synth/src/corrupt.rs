@@ -6,7 +6,7 @@
 use em_rngs::rngs::StdRng;
 use em_rngs::Rng;
 
-/// Intensity knobs for the corruption pipeline (all probabilities in [0,1]).
+/// Intensity knobs for the corruption pipeline (all probabilities in `[0, 1]`).
 #[derive(Debug, Clone, Copy)]
 pub struct CorruptionProfile {
     /// Per-token probability of a character-level typo.

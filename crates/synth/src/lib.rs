@@ -41,7 +41,7 @@ pub enum SynthError {
     TooFewEntities(usize),
     /// Requested zero pairs.
     NoPairs,
-    /// A rate parameter was outside [0,1].
+    /// A rate parameter was outside `[0, 1]`.
     InvalidRate(&'static str, f64),
     /// Propagated data-model error (should not happen by construction).
     Data(em_data::DataError),

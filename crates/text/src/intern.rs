@@ -22,7 +22,7 @@
 //! [`crate::Vocabulary`]'s job).
 //!
 //! Determinism: tokens are produced by the same `scan_runs` +
-//! char-wise-lowercase core as [`crate::tokenize`], and gram sets by the
+//! char-wise-lowercase core as [`crate::tokenize`](fn@crate::tokenize), and gram sets by the
 //! same padding rules as [`crate::qgrams`] over the `str::to_lowercase`
 //! of the cell, so kernels over arena slices are bitwise-identical to
 //! their string counterparts.

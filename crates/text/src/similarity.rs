@@ -165,7 +165,7 @@ fn advance_block(deltas: &mut (u64, u64), eq: u64, carry: (u64, u64), out_row: u
     out
 }
 
-/// Normalised Levenshtein similarity in [0,1].
+/// Normalised Levenshtein similarity in `[0, 1]`.
 pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
     let (la, lb) = (a.chars().count(), b.chars().count());
     let max_len = la.max(lb);
@@ -175,7 +175,7 @@ pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
     1.0 - levenshtein_counted(a, la, b, lb) as f64 / max_len as f64
 }
 
-/// Jaro similarity in [0,1].
+/// Jaro similarity in `[0, 1]`.
 pub fn jaro(a: &str, b: &str) -> f64 {
     if a.is_ascii() && b.is_ascii() {
         return jaro_slices(a.as_bytes(), b.as_bytes());

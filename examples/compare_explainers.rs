@@ -1,5 +1,5 @@
-//! Compare all six explanation systems (CREW + LIME, Mojito, Landmark,
-//! LEMON, CERTA) on the same pair and model, reporting fidelity and
+//! Compare all seven explanation systems (CREW + LIME, Mojito, Landmark,
+//! LEMON, CERTA, WYM) on the same pair and model, reporting fidelity and
 //! explanation size side by side.
 //!
 //! ```text

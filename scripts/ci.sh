@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Required pre-merge gate: the tier-1 build/test cycle, hermetically.
 #
-#   ./scripts/ci.sh           # fmt check + release build + full test suite
+#   ./scripts/ci.sh           # fmt check + release build + full test suite + rustdoc
 #   ./scripts/ci.sh --bench   # additionally smoke-run the experiment driver
 #
 # Everything runs with --locked --offline: the workspace has no external
@@ -18,6 +18,11 @@ cargo build --release --locked --offline
 
 echo "==> cargo test -q (locked, offline)"
 cargo test -q --locked --offline
+
+echo "==> cargo doc (locked, offline, warnings are errors)"
+# Keeps intra-doc links honest: a deleted or renamed item that a public
+# doc comment still links to fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --locked --offline
 
 echo "==> obs no-op build (probes compile away with em-obs/noop)"
 cargo check -q -p em-bench --features obs-noop --locked --offline

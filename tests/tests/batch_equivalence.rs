@@ -2,17 +2,20 @@
 //!
 //! Two contracts keep the engine safe to use everywhere:
 //!
-//! 1. **Batch ≡ scalar, bitwise.** `Matcher::predict_proba_batch` must
-//!    return exactly what a scalar `predict_proba` loop returns, for every
-//!    matcher in the zoo — including the logistic and MLP models that
-//!    override the default with cached-feature batch paths.
+//! 1. **Batch ≡ batch of one, bitwise.** A pair's probability must not
+//!    depend on the rest of its batch: `Matcher::predict_proba_batch`
+//!    returns exactly what a loop of single-pair `predict_proba` calls
+//!    returns, for every matcher in the zoo. For the logistic, MLP and
+//!    attention models, whose only inference path is the cached batch
+//!    path, each of those calls is a batch of one; the simple matchers
+//!    inherit the default loop.
 //! 2. **Scheduling independence.** Queries fanned out over a shared worker
 //!    pool land in per-index slots, so the result vector is bitwise
 //!    identical to the sequential loop at any worker count.
 //!
 //! The pooled rebuild path is pinned here too: capacity-reusing
 //! `clone_from` equals a fresh clone whatever the target held before,
-//! `query_masks` over dirty pooled pairs equals the scalar
+//! `query_masks` over dirty pooled pairs equals the single-pair
 //! `apply_mask` → `predict_proba` loop, and the mask sampler draws the
 //! exact masks it always drew (digests recorded before its buffers were
 //! hoisted out of the sample loop).
@@ -106,12 +109,12 @@ fn zoo() -> &'static Zoo {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // Batch prediction is bitwise-identical to the scalar loop for every
-    // matcher in the zoo, over random batches of masked real pairs
-    // (duplicates included — the engine dedups upstream, the matcher
-    // contract must not rely on it).
+    // Batch prediction is bitwise-identical to scoring each pair as a
+    // batch of one, for every matcher in the zoo, over random batches of
+    // masked real pairs (duplicates included — the engine dedups
+    // upstream, the matcher contract must not rely on it).
     #[test]
-    fn batch_prediction_is_bitwise_scalar_for_every_matcher(
+    fn batch_prediction_is_bitwise_batch_of_one_for_every_matcher(
         seed in 0u64..500,
         count in 1usize..8,
     ) {
@@ -130,11 +133,11 @@ proptest! {
             let batch = matcher.predict_proba_batch(&pairs);
             prop_assert_eq!(batch.len(), pairs.len());
             for (b, p) in batch.iter().zip(&pairs) {
-                let s = matcher.predict_proba(p);
+                let one = matcher.predict_proba(p);
                 prop_assert!(
-                    b.to_bits() == s.to_bits(),
-                    "matcher {} diverges: batch {} vs scalar {}",
-                    name, b, s
+                    b.to_bits() == one.to_bits(),
+                    "matcher {} diverges: batch {} vs batch of one {}",
+                    name, b, one
                 );
             }
         }
@@ -311,7 +314,7 @@ fn pooled_query_masks_equals_the_scalar_loop_for_every_matcher() {
                 for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert!(
                         g.to_bits() == w.to_bits(),
-                        "{name} threads={threads} pair {k} mask {i}: pooled {g} vs scalar {w}"
+                        "{name} threads={threads} pair {k} mask {i}: pooled {g} vs single pair {w}"
                     );
                 }
             }
