@@ -1,13 +1,16 @@
 //! Closed-loop load generator for the online explanation service
 //! (`em-serve`): starts the server in-process, drives it with N
 //! concurrent keep-alive clients over a small shared pair pool (so
-//! concurrent identical requests are guaranteed and coalescing has
-//! something to merge), and emits `BENCH_serve[_smoke].json` with
+//! concurrent identical requests are guaranteed and the explanation
+//! store has repeats to share), and emits `BENCH_serve[_smoke].json` with
 //! p50/p99 latency and throughput rows.
 //!
 //! The run *fails* unless the session stores prove query sharing
 //! (explanation/perturbation hits + coalesced misses > 0) — that is the
-//! acceptance gate for the coalescing front queue, checked in CI.
+//! acceptance gate for cross-request sharing, checked in CI. Each
+//! connection thread answers its own requests, so requests share work
+//! only through the stores: hits, and single-flight waits on a
+//! computation another request started.
 //!
 //! ```text
 //! cargo run --release -p em-bench --bin load_gen               # full
@@ -74,7 +77,7 @@ fn main() {
     let query_jobs = em_bench::jobs_from_args();
     // A small pair pool is the point: with more clients than distinct
     // pairs, concurrent identical requests are guaranteed, so the
-    // coalescing queue and the stores have duplicates to merge.
+    // stores have repeats and in-flight computations to share.
     let pool_size = arg_usize("--pairs").unwrap_or(if smoke { 2 } else { 4 });
 
     eprintln!(
@@ -108,7 +111,7 @@ fn main() {
     eprintln!("load_gen: serving on {addr}");
 
     // Closed-loop clients on a dedicated pool. NOT the global pool: the
-    // server's dispatcher fans explanation work out over
+    // server's connection threads fan explanation work out over
     // `em_pool::global()`, and clients parked in global workers while
     // blocking on their own replies would starve it.
     let results: Vec<OnceLock<(Vec<u64>, Vec<u64>)>> =
@@ -188,7 +191,7 @@ fn main() {
         percentile(&explain_ns, 99.0) / 1e6,
     );
 
-    // The coalescing proof: concurrent identical pairs must have shared
+    // The sharing proof: concurrent identical pairs must have shared
     // backend work through the session stores. A run that answered every
     // explain with a fresh computation is a regression, not a bench.
     let explain_stats = state.session.explanations().stats();

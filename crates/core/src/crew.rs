@@ -178,7 +178,7 @@ impl Crew {
         pair: &EntityPair,
     ) -> Result<ClusterExplanation, crate::ExplainError> {
         let tokenized = TokenizedPair::new(pair.clone());
-        if tokenized.len() == 0 {
+        if tokenized.is_empty() {
             return Err(crate::ExplainError::EmptyPair);
         }
         if self.options.tau <= 0.0 || self.options.tau > 1.0 {

@@ -473,11 +473,11 @@ pub fn record_table_from_csv(text: &str) -> Result<RecordTable, crate::DataError
     })
 }
 
-/// Parse a record table CSV: returns `(attribute names, id → values)`.
-fn parse_record_table(
-    text: &str,
-    which: usize,
-) -> Result<(Vec<String>, std::collections::HashMap<u64, Vec<String>>), crate::DataError> {
+/// A parsed record table: `(attribute names, id → values)`.
+type ParsedTable = (Vec<String>, std::collections::HashMap<u64, Vec<String>>);
+
+/// Parse a record table CSV.
+fn parse_record_table(text: &str, which: usize) -> Result<ParsedTable, crate::DataError> {
     let rows = parse_csv(text)?;
     if rows.is_empty() {
         return Err(crate::DataError::CsvParse {

@@ -56,8 +56,11 @@ pub struct EvalContext {
     /// concurrent first requests train the model exactly once (the old
     /// check-unlock-train-insert sequence could train twice under
     /// concurrency, wasting work and making the trace schedule-dependent).
-    zoo: Mutex<HashMap<MatcherKind, Arc<crate::store::Slot<Arc<dyn Matcher>>>>>,
+    zoo: Mutex<HashMap<MatcherKind, Arc<ModelSlot>>>,
 }
+
+/// The single-flight slot one matcher kind is trained in.
+type ModelSlot = crate::store::Slot<Arc<dyn Matcher>>;
 
 impl EvalContext {
     /// Prepare a context for one family: generate data, split 70/15/15,
@@ -125,9 +128,12 @@ impl EvalContext {
                         ..Default::default()
                     },
                 )?),
-                MatcherKind::Attention => Arc::new(AttentionMatcher::fit(
+                // The context's embeddings are the ones `fit` would train:
+                // the same split, with default options.
+                MatcherKind::Attention => Arc::new(AttentionMatcher::fit_with_embeddings(
                     &self.split.train,
                     &self.split.validation,
+                    Arc::clone(&self.embeddings),
                     AttentionOptions {
                         seed: self.seed,
                         ..Default::default()

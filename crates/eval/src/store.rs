@@ -1078,8 +1078,10 @@ mod tests {
     #[test]
     fn options_fingerprint_separates_variants() {
         let base = CrewOptions::default();
-        let mut tweaked = CrewOptions::default();
-        tweaked.tau = 0.8;
+        let tweaked = CrewOptions {
+            tau: 0.8,
+            ..CrewOptions::default()
+        };
         assert_ne!(
             crew_options_fingerprint(&base),
             crew_options_fingerprint(&tweaked)

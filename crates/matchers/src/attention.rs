@@ -19,6 +19,7 @@ use em_rngs::seq::SliceRandom;
 use em_rngs::SeedableRng;
 use em_text::TokenArena;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Options for the attention matcher.
 #[derive(Debug, Clone, Copy)]
@@ -59,7 +60,7 @@ const GLOBAL: usize = 2;
 
 /// Trained soft-alignment matcher.
 pub struct AttentionMatcher {
-    embeddings: WordEmbeddings,
+    embeddings: Arc<WordEmbeddings>,
     temperature: f64,
     n_attributes: usize,
     weights: Vec<f64>,
@@ -94,7 +95,9 @@ struct AlignScratch {
     /// `cos_dim`, disabled (`cos_dim == 0`) once the batch interns more
     /// than [`COS_MEMO_MAX`] tokens. `cosine` is bitwise-symmetric
     /// (lane-wise multiply commutes), so one computation fills both
-    /// triangles and L→R / R→L directions share hits.
+    /// triangles and L→R / R→L directions share hits. Its allocation
+    /// outlives [`AlignScratch::clear`]: each call re-fills only the
+    /// `cos_dim²` entries it uses.
     cos_cache: Vec<f64>,
     cos_dim: usize,
     all_l: Vec<u32>,
@@ -150,19 +153,20 @@ impl AlignScratch {
         let n = self.arena.n_tokens();
         if n <= COS_MEMO_MAX {
             if self.cos_dim < n {
-                // Grow in powers of two to amortise stride rebuilds.
-                let nd = n.next_power_of_two().clamp(64, COS_MEMO_MAX);
-                let mut fresh = vec![f64::NAN; nd * nd];
-                for i in 0..self.cos_dim {
-                    let (o, f) = (i * self.cos_dim, i * nd);
-                    fresh[f..f + self.cos_dim]
-                        .copy_from_slice(&self.cos_cache[o..o + self.cos_dim]);
+                // Grow in powers of two to amortise stride rebuilds, and
+                // re-stride in place: row `i` moves from `i * old` to
+                // `i * nd`, last row first, so no unread row is
+                // overwritten, and the new columns and rows start unfilled.
+                let (old, nd) = (self.cos_dim, n.next_power_of_two().clamp(64, COS_MEMO_MAX));
+                self.cos_cache.resize(nd * nd, f64::NAN);
+                for i in (0..old).rev() {
+                    self.cos_cache.copy_within(i * old..(i + 1) * old, i * nd);
+                    self.cos_cache[i * nd + old..(i + 1) * nd].fill(f64::NAN);
                 }
-                self.cos_cache = fresh;
                 self.cos_dim = nd;
             }
         } else if self.cos_dim != 0 {
-            self.cos_cache = Vec::new();
+            self.cos_cache.clear();
             self.cos_dim = 0;
         }
     }
@@ -346,6 +350,21 @@ impl AttentionMatcher {
         }
         let embeddings = WordEmbeddings::train_on_dataset(train, opts.embeddings)
             .map_err(crate::MatcherError::Embedding)?;
+        AttentionMatcher::fit_with_embeddings(train, validation, Arc::new(embeddings), opts)
+    }
+
+    /// [`AttentionMatcher::fit`] over embeddings that are already
+    /// trained, such as an evaluation context's, which the matcher then
+    /// shares; `opts.embeddings` goes unused.
+    pub fn fit_with_embeddings(
+        train: &Dataset,
+        validation: &Dataset,
+        embeddings: Arc<WordEmbeddings>,
+        opts: AttentionOptions,
+    ) -> Result<Self, crate::MatcherError> {
+        if train.is_empty() {
+            return Err(crate::MatcherError::EmptyTrainingSet);
+        }
         let n_attributes = train.schema().len();
         let dims = n_attributes * PER_ATTR + GLOBAL;
 
@@ -707,6 +726,76 @@ mod tests {
         let batch = m.predict_proba_batch(&pairs);
         for (pair, &b) in pairs.iter().zip(&batch) {
             assert_eq!(m.predict_proba(pair).to_bits(), b.to_bits());
+        }
+    }
+
+    /// One scratch reused over batches below 64 tokens, past 64 and past
+    /// [`COS_MEMO_MAX`] yields a fresh scratch's features bit for bit,
+    /// and a repeat batch of one size reuses the memo's allocation.
+    #[test]
+    fn reused_cosine_memo_matches_a_fresh_scratch_and_keeps_its_allocation() {
+        let split = generate(
+            Family::Products,
+            GeneratorConfig {
+                entities: 400,
+                pairs: 1200,
+                match_rate: 0.25,
+                hard_negative_rate: 0.5,
+                seed: 38,
+            },
+        )
+        .unwrap()
+        .split(0.7, 0.15, 38)
+        .unwrap();
+        let emb =
+            WordEmbeddings::train_on_dataset(&split.train, EmbeddingOptions::default()).unwrap();
+        let n_attributes = split.train.schema().len();
+        let pairs: Vec<EntityPair> = split
+            .test
+            .examples()
+            .iter()
+            .map(|e| e.pair.clone())
+            .collect();
+        // One batch as `batch_with_scratch` runs it: returns the bits of
+        // every pair's features and the tokens the batch interned.
+        let features = |s: &mut AlignScratch, batch: &[EntityPair]| {
+            s.clear();
+            let bits: Vec<Vec<u64>> = batch
+                .iter()
+                .map(|pair| {
+                    alignment_features_cached(&emb, 6.0, n_attributes, pair, s);
+                    s.feats.iter().map(|f| f.to_bits()).collect()
+                })
+                .collect();
+            (bits, s.arena.n_tokens())
+        };
+        let (small, medium, large) = (&pairs[..1], &pairs[..6], &pairs[..]);
+        let mut reused = AlignScratch::default();
+        let mut tokens = Vec::new();
+        for batch in [small, medium, large, small, medium] {
+            let got = features(&mut reused, batch);
+            assert_eq!(got, features(&mut AlignScratch::default(), batch));
+            tokens.push(got.1);
+        }
+        assert!(tokens[0] < 64, "small batch interned {} tokens", tokens[0]);
+        assert!(
+            (65..=COS_MEMO_MAX).contains(&tokens[1]),
+            "medium batch interned {} tokens",
+            tokens[1]
+        );
+        assert!(
+            tokens[2] > COS_MEMO_MAX,
+            "large batch interned {} tokens",
+            tokens[2]
+        );
+
+        // A repeat call of one size never reallocates the memo, not even
+        // while it re-grows through the smaller strides pair by pair.
+        let memo = reused.cos_cache.as_ptr();
+        reused.clear();
+        for pair in medium {
+            alignment_features_cached(&emb, 6.0, n_attributes, pair, &mut reused);
+            assert_eq!(memo, reused.cos_cache.as_ptr(), "the memo was reallocated");
         }
     }
 

@@ -80,7 +80,7 @@ pub fn deletion_curve(
     units: &[ExplanationUnit],
     fractions: &[f64],
 ) -> Result<Vec<(f64, f64)>, crate::MetricError> {
-    if tokenized.len() == 0 {
+    if tokenized.is_empty() {
         return Err(crate::MetricError::EmptyPair);
     }
     let base = base_probability(matcher, tokenized);
@@ -129,7 +129,7 @@ pub fn aopc_deletion(
     units: &[ExplanationUnit],
     fractions: &[f64],
 ) -> Result<f64, crate::MetricError> {
-    if tokenized.len() == 0 {
+    if tokenized.is_empty() {
         return Err(crate::MetricError::EmptyPair);
     }
     if fractions.is_empty() {
@@ -179,7 +179,7 @@ pub fn comprehensiveness(
     units: &[ExplanationUnit],
     fraction: f64,
 ) -> Result<f64, crate::MetricError> {
-    if tokenized.len() == 0 {
+    if tokenized.is_empty() {
         return Err(crate::MetricError::EmptyPair);
     }
     let base = base_probability(matcher, tokenized);
@@ -229,7 +229,7 @@ pub fn unit_deletion_curve(
     units: &[ExplanationUnit],
     max_units: usize,
 ) -> Result<Vec<f64>, crate::MetricError> {
-    if tokenized.len() == 0 {
+    if tokenized.is_empty() {
         return Err(crate::MetricError::EmptyPair);
     }
     let base = base_probability(matcher, tokenized);
@@ -277,7 +277,7 @@ pub fn aopc_units(
     units: &[ExplanationUnit],
     max_units: usize,
 ) -> Result<f64, crate::MetricError> {
-    if tokenized.len() == 0 {
+    if tokenized.is_empty() {
         return Err(crate::MetricError::EmptyPair);
     }
     if max_units == 0 {

@@ -26,11 +26,21 @@
 //! (pair-level parallelism in `em-eval` nests explainer query loops).
 //! Nested calls are detected via a thread-local flag and executed
 //! inline on the calling thread — never queued — so the pool cannot
-//! deadlock on itself.
+//! deadlock on itself. A top-level call that finds another submitter's
+//! batch holding the pool runs inline too, rather than waiting for it:
+//! the other batch's tasks may be waiting on something the caller holds.
+//!
+//! ## Panics
+//!
+//! A panicking task is caught where it ran and counted as done, so the
+//! batch still completes on every thread; once the pool is released,
+//! `run` re-raises the first payload on the submitting thread.
 
+use std::any::Any;
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 
 thread_local! {
@@ -58,6 +68,9 @@ struct Job {
     participants: AtomicUsize,
     /// Cap on participating threads (submitter included).
     max_participants: usize,
+    /// The first task panic's payload, re-raised by `run` on the
+    /// submitter once the batch is done.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 // SAFETY: the raw closure pointer is only dereferenced between job
@@ -76,7 +89,13 @@ impl Job {
                 return;
             }
             // SAFETY: see the Send/Sync justification above.
-            (unsafe { &*self.task })(i);
+            let task = unsafe { &*self.task };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
+                self.panic
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get_or_insert(payload);
+            }
             if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
                 // Last task done: wake the submitter. Taking the lock
                 // before notifying closes the lost-wakeup race with a
@@ -108,12 +127,14 @@ struct Shared {
 
 /// A fixed set of worker threads executing indexed task batches.
 ///
-/// `run` is the only entry point; batches are serialized internally, so
-/// a pool can be shared freely (e.g. the process-wide [`global`] pool).
+/// `run` is the only entry point. One batch holds the pool at a time,
+/// and a submitter that finds it held runs its batch inline, so a pool
+/// can be shared freely (e.g. the process-wide [`global`] pool).
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// Serializes job publication across submitting threads.
+    /// Held by the batch that owns the pool; other submitters run
+    /// inline rather than wait for it.
     issue: Mutex<()>,
 }
 
@@ -157,9 +178,18 @@ impl WorkerPool {
     /// `max_threads` threads (submitter included), and return once all
     /// indices have completed.
     ///
-    /// Falls back to an inline sequential loop when parallelism is
-    /// unavailable or pointless: `max_threads <= 1`, no workers, tiny
-    /// batches, or a nested call from inside a pool task.
+    /// Falls back to an inline sequential loop on the caller when:
+    /// - `max_threads <= 1`, or the pool has no workers;
+    /// - the batch is tiny (`total < 2`);
+    /// - the call is nested inside a pool task;
+    /// - another submitter's batch holds the pool. Waiting for it could
+    ///   deadlock: its tasks may be blocked on a lock the caller holds.
+    ///
+    /// Results are keyed by index, so the path taken never shows in them.
+    ///
+    /// If a task panics, every other index still runs exactly once, and
+    /// `run` then re-raises the first panic on the caller, with the pool
+    /// released and ready for the next batch.
     pub fn run(&self, total: usize, max_threads: usize, task: &(dyn Fn(usize) + Sync)) {
         if total == 0 {
             return;
@@ -169,15 +199,16 @@ impl WorkerPool {
         // submitters), but the number of batches and tasks does not.
         em_obs::counter!("pool/runs", 1);
         em_obs::counter!("pool/tasks", total as u64);
+        let inline = || (0..total).for_each(task);
         let nested = IN_POOL.with(|f| f.get());
         if max_threads <= 1 || self.workers.is_empty() || nested || total < 2 {
-            for i in 0..total {
-                task(i);
-            }
-            return;
+            return inline();
         }
-
-        let _issue = self.issue.lock().unwrap();
+        let issue = match self.issue.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return inline(),
+        };
         // SAFETY: erases the borrow's lifetime. `run` does not return
         // until `pending` reaches zero, i.e. after the last dereference,
         // and the trailing `state.job = None` drop of the published Arc
@@ -193,6 +224,7 @@ impl WorkerPool {
             pending: AtomicUsize::new(total),
             participants: AtomicUsize::new(1),
             max_participants: max_threads.max(1),
+            panic: Mutex::new(None),
         });
 
         {
@@ -213,6 +245,16 @@ impl WorkerPool {
             state = self.shared.done.wait(state).unwrap();
         }
         state.job = None;
+        drop(state);
+        drop(issue);
+        let panicked = job
+            .panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
+        }
     }
 
     /// Execute `task(i)` for every `i in 0..total` in consecutive
@@ -282,8 +324,9 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// The process-wide pool, sized to the machine (`available_parallelism
-/// - 1` helper threads; the submitting thread supplies the last lane).
+/// The process-wide pool, sized to the machine: one helper thread fewer
+/// than `available_parallelism`, as the submitting thread supplies the
+/// last lane.
 /// Callers pass their own `max_threads` to [`WorkerPool::run`], so a
 /// budget of 1 still executes inline regardless of pool size.
 pub fn global() -> &'static WorkerPool {
@@ -305,7 +348,7 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
 
     fn collect_squares(pool: &WorkerPool, n: usize, threads: usize) -> Vec<u64> {
         let out: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
@@ -398,6 +441,127 @@ mod tests {
             counter.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(counter.load(Ordering::SeqCst), 9);
+    }
+
+    /// Run `f` on its own thread and fail if it has not finished within
+    /// `secs`: a deadlocked or hung pool fails the test instead of
+    /// hanging the suite.
+    fn within(secs: u64, f: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(secs)) {
+            Ok(()) => runner.join().unwrap(),
+            // The runner panicked: re-raise its assertion.
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().unwrap_err())
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("timed out after {secs} s")
+            }
+        }
+    }
+
+    fn on_worker() -> bool {
+        std::thread::current()
+            .name()
+            .is_some_and(|n| n.starts_with("em-pool-"))
+    }
+
+    /// Mark the side this task runs on, then wait until tasks have
+    /// started on both the submitter and the worker: a batch of a
+    /// one-worker pool is forced onto both threads without relying on
+    /// timing. A pool that never reaches its worker fails `within`.
+    fn meet(sides: &[AtomicBool; 2]) {
+        sides[usize::from(on_worker())].store(true, Ordering::SeqCst);
+        while !sides.iter().all(|side| side.load(Ordering::SeqCst)) {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A one-worker pool runs a batch whose first task on the chosen
+    /// side panics; `run` must re-raise it only after every index ran
+    /// once, and then run clean batches on both threads, from this
+    /// thread and from another.
+    fn panicking_task_is_reraised_and_the_pool_survives(panic_on_worker: bool) {
+        within(30, move || {
+            let pool = WorkerPool::new(1);
+            let n = 64;
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let sides = [AtomicBool::new(false), AtomicBool::new(false)];
+            let fired = AtomicBool::new(false);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run(n, 2, &|i| {
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                    meet(&sides);
+                    if on_worker() == panic_on_worker && !fired.swap(true, Ordering::SeqCst) {
+                        panic!("task {i} failed");
+                    }
+                });
+            }));
+            let payload = caught.expect_err("the task's panic must reach the caller");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.starts_with("task "), "{message}");
+            for (i, r) in runs.iter().enumerate() {
+                assert_eq!(r.load(Ordering::SeqCst), 1, "index {i}");
+            }
+
+            let clean_batch = |pool: &WorkerPool| {
+                let sides = [AtomicBool::new(false), AtomicBool::new(false)];
+                pool.run(n, 2, &|_| meet(&sides));
+            };
+            clean_batch(&pool);
+            std::thread::scope(|scope| {
+                scope.spawn(|| clean_batch(&pool));
+            });
+        });
+    }
+
+    #[test]
+    fn a_task_panic_on_the_submitter_is_reraised_and_the_pool_survives() {
+        panicking_task_is_reraised_and_the_pool_survives(false);
+    }
+
+    #[test]
+    fn a_task_panic_on_a_worker_is_reraised_and_the_pool_survives() {
+        panicking_task_is_reraised_and_the_pool_survives(true);
+    }
+
+    /// Thread A holds a mutex and submits a batch while a task of thread
+    /// B's batch, which holds the pool, waits for that mutex. A must run
+    /// its batch inline instead of waiting for the pool.
+    #[test]
+    fn a_submitter_never_waits_for_another_submitters_batch() {
+        within(30, || {
+            let pool = WorkerPool::new(1);
+            let m = Mutex::new(());
+            let (a_holds_m, b_may_start) = std::sync::mpsc::channel();
+            let (b_task_waits, a_may_submit) = std::sync::mpsc::channel();
+            let a_ran = AtomicUsize::new(0);
+            let (pool, m, a_ran_ref) = (&pool, &m, &a_ran);
+            std::thread::scope(|scope| {
+                scope.spawn(move || {
+                    let _held = m.lock().unwrap();
+                    a_holds_m.send(()).unwrap();
+                    a_may_submit.recv().unwrap();
+                    pool.run(8, 2, &|_| {
+                        a_ran_ref.fetch_add(1, Ordering::SeqCst);
+                    });
+                });
+                scope.spawn(move || {
+                    b_may_start.recv().unwrap();
+                    pool.run(2, 2, &|i| {
+                        if i == 0 {
+                            b_task_waits.send(()).unwrap();
+                            drop(m.lock().unwrap());
+                        }
+                    });
+                });
+            });
+            assert_eq!(a_ran.load(Ordering::SeqCst), 8);
+        });
     }
 
     #[test]

@@ -242,13 +242,10 @@ where
                 }
                 let mut candidate = best.clone();
                 candidate[start..end].fill(0);
-                match attempt(&candidate, &mut budget) {
-                    Some((stream, message)) => {
-                        best = stream;
-                        best_message = message;
-                        improved = true;
-                    }
-                    None => {}
+                if let Some((stream, message)) = attempt(&candidate, &mut budget) {
+                    best = stream;
+                    best_message = message;
+                    improved = true;
                 }
                 start += block;
             }

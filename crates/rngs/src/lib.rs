@@ -225,7 +225,7 @@ mod tests {
             let d: u8 = rng.gen_range(0..26u8);
             assert!(d < 26);
             let e = rng.gen_range(f64::EPSILON..1.0);
-            assert!(e >= f64::EPSILON && e < 1.0);
+            assert!((f64::EPSILON..1.0).contains(&e));
         }
     }
 

@@ -5,15 +5,16 @@
 //! `em-rngs`/`em-pool`/`em-obs`) that loads a trained matcher and
 //! embeddings once and serves `POST /predict` and `POST /explain`.
 //!
-//! The point is cross-request batching: a coalescing front queue
-//! ([`queue::Coalescer`]) merges the requests that arrive while the
-//! dispatcher is busy into one `predict_proba_batch` /
-//! shared-`PerturbationSet` pass through the `EvalSession` stores, so
-//! concurrent clients share matcher queries, while a request that finds
-//! the dispatcher idle runs at once. `em-obs` spans (`serve/accept`,
-//! `serve/parse`, `serve/coalesce`, `serve/query`) attribute
-//! per-request latency, and store-hit counters prove the sharing. See
-//! DESIGN.md § Serving architecture.
+//! Each connection thread answers its own requests: a request's
+//! duplicate pairs are merged, a `/predict` is one `predict_proba_batch`
+//! call, and an `/explain` fans its pairs out over `em-pool` into the
+//! `EvalSession` stores. Requests share work through those stores: a
+//! repeat explain is a hit, and concurrent first explains of one pair
+//! wait for a single computation. A panic in the model answers its own
+//! request 500 and the server keeps serving. `em-obs` spans
+//! (`serve/accept`, `serve/parse`, `serve/coalesce`, `serve/query`)
+//! attribute per-request latency, and store-hit counters prove the
+//! sharing. See DESIGN.md § Serving architecture.
 //!
 //! ## Protocol
 //!
@@ -23,7 +24,7 @@
 //! POST /explain  {"pairs":[...],"explainer":"crew"}   // label optional
 //!   -> {"results":[{"explainer":"crew","explanation":{...}}]}
 //! GET  /health   -> {"status":"ok"}
-//! GET  /stats    -> store hit/miss/coalesced counters, queue depth
+//! GET  /stats    -> store hit/miss/coalesced counters, requests in flight
 //! ```
 //!
 //! Attribute arrays must match the serving context's schema width.
@@ -33,12 +34,10 @@
 
 pub mod http;
 pub mod json;
-pub mod queue;
 pub mod server;
 
 pub use http::{
     reason, write_request, write_response, Connection, Limits, ParseError, Request, Response,
 };
 pub use json::{escape_json, num_json, parse_json, Json, JsonError};
-pub use queue::{Coalescer, Job, JobKind, Reply, ServeError};
-pub use server::{explanation_json, ServeOptions, ServeState, Server, ServerHandle};
+pub use server::{explanation_json, ServeError, ServeOptions, ServeState, Server, ServerHandle};

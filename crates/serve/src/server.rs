@@ -1,31 +1,32 @@
-//! The server proper: accept loop, per-connection handlers, the routing
-//! layer, and the dispatcher thread that drains the [`Coalescer`].
+//! The server proper: the accept loop, the per-connection handlers and
+//! the routing layer. Each connection thread answers its own requests.
 //!
-//! Threading model (the worker/web split the ROADMAP cites):
+//! Threading model:
 //!
 //! * **accept thread** — blocks in `TcpListener::accept`, spawns one
 //!   handler thread per connection (capped at
 //!   [`ServeOptions::max_connections`]), and joins them all on shutdown.
-//! * **handler threads** — parse requests under a read timeout and
-//!   byte caps ([`crate::http`]), translate bodies into [`Job`]s, and
-//!   block on the reply channel. A slow or malformed client costs its
-//!   own thread a timeout, never the accept loop or the dispatcher.
-//! * **dispatcher thread** — the only caller into the matcher/stores.
-//!   Each [`Coalescer::next_batch`] batch (whatever queued while the
-//!   previous one ran) is deduplicated (bucketed by pair fingerprint,
-//!   shared only between equal pairs) and answered with one
-//!   `predict_proba_batch`, whose replies go out at once, plus one
-//!   `EvalSession` store pass (explanations fan out over `em-pool`),
-//!   then fanned back out to every coalesced duplicate.
+//! * **handler threads** — parse requests under a read timeout and byte
+//!   caps ([`crate::http`]) and answer each one on the spot. A
+//!   `/predict` or `/explain` is deduplicated (bucketed by pair
+//!   fingerprint, shared only between equal pairs), then answered with
+//!   one `predict_proba_batch` call, or with one `EvalSession` store pass
+//!   whose explanations fan out over `em-pool`. A slow or malformed
+//!   client costs its own thread a timeout, and a cold CREW run holds up
+//!   only the requests that wait for its explanation.
 //!
-//! Shutdown never drops an accepted request: stop-flag → wake the accept
-//! loop → join handlers (each finishes its in-flight request; the
-//! dispatcher is still live so replies arrive) → drain the queue → join
-//! the dispatcher (which flushes any leftovers first).
+//! Requests share work through the session's stores: a repeated explain
+//! is a store hit, and concurrent first explains of one pair wait for a
+//! single computation in the store's single-flight slot. A panic in the
+//! model answers its own request 500; the connection and the server
+//! keep serving.
+//!
+//! Shutdown never drops an accepted request: stop flag → wake the accept
+//! loop → join the handlers, each of which finishes its in-flight
+//! request first.
 
 use crate::http::{write_response, Connection, Limits, ParseError, Request};
 use crate::json::{escape_json, num_json, parse_json, Json};
-use crate::queue::{Coalescer, Job, JobKind, Reply, ServeError};
 use crew_core::report::{cluster_explanation_to_json, word_explanation_to_json};
 use em_data::EntityPair;
 use em_eval::{
@@ -36,11 +37,49 @@ use em_matchers::Matcher;
 use em_synth::Family;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Service-level failure, answered as `{"error": …}` with its status.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ServeError {
+    /// Body is not the protocol shape (400).
+    BadRequest(String),
+    /// Unknown path (404).
+    NotFound,
+    /// Path exists, method wrong (405).
+    MethodNotAllowed,
+    /// Well-formed but semantically unusable — wrong attribute count,
+    /// unknown explainer label (422).
+    Unprocessable(String),
+    /// Backend failure or a panic in the model (500).
+    Internal(String),
+}
+
+impl ServeError {
+    pub fn status(&self) -> u16 {
+        match self {
+            ServeError::BadRequest(_) => 400,
+            ServeError::NotFound => 404,
+            ServeError::MethodNotAllowed => 405,
+            ServeError::Unprocessable(_) => 422,
+            ServeError::Internal(_) => 500,
+        }
+    }
+
+    pub fn message(&self) -> String {
+        match self {
+            ServeError::BadRequest(m) | ServeError::Unprocessable(m) | ServeError::Internal(m) => {
+                m.clone()
+            }
+            ServeError::NotFound => "no such endpoint".to_string(),
+            ServeError::MethodNotAllowed => "method not allowed".to_string(),
+        }
+    }
+}
 
 /// Everything loaded once at startup and shared by every request: the
 /// prepared context (dataset, embeddings), the trained matcher, and the
@@ -78,9 +117,8 @@ impl ServeState {
 pub struct ServeOptions {
     /// Bind address; port 0 picks a free port (tests, load_gen).
     pub addr: String,
-    /// Maximum jobs answered in one batch pass.
-    pub max_batch: usize,
-    /// `em-pool` fan-out width for the explanation stage of a batch.
+    /// `em-pool` fan-out width over the unique pairs of one `/explain`
+    /// request, the connection thread included.
     pub query_jobs: usize,
     /// Per-connection read (and write) timeout: a stalled client is cut
     /// off after this long, and shutdown join latency is bounded by it.
@@ -97,7 +135,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             addr: "127.0.0.1:0".to_string(),
-            max_batch: 64,
             query_jobs: em_pool::default_threads(),
             read_timeout: Duration::from_secs(5),
             limits: Limits::default(),
@@ -109,9 +146,28 @@ impl Default for ServeOptions {
 
 struct Shared {
     state: Arc<ServeState>,
-    queue: Coalescer,
     stop: AtomicBool,
+    /// `/predict` and `/explain` requests between parse and reply,
+    /// reported as `in_flight` on `/stats`.
+    in_flight: AtomicUsize,
     opts: ServeOptions,
+}
+
+/// Counts one request in [`Shared::in_flight`] while it lives; the
+/// count drops on unwind too.
+struct InFlight<'a>(&'a AtomicUsize);
+
+impl<'a> InFlight<'a> {
+    fn enter(count: &'a AtomicUsize) -> Self {
+        count.fetch_add(1, Ordering::SeqCst);
+        InFlight(count)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Handle to a running server. Dropping it performs a graceful shutdown;
@@ -120,70 +176,31 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
 }
 
 /// Namespace for [`Server::start`].
 pub struct Server;
 
 impl Server {
-    /// Bind, start the dispatcher and then the accept thread, and return
-    /// once both are running. The bound address (with the resolved port)
-    /// is on the handle.
-    ///
-    /// A thread counts as running once it has allocated the buffer it
-    /// reuses for its whole life. That first allocation binds the thread
-    /// to a malloc arena, and glibc hands out the arenas of exited
-    /// threads last-released-first. Starting the threads one at a time,
-    /// in the reverse of the order shutdown joins them, gives a new
-    /// dispatcher the arena its predecessor freed its explanations into.
-    /// Left to race the connection threads for an arena, it could land
-    /// in a different one after each restart, and every arena keeps the
-    /// memory freed into it, so peak RSS would grow.
+    /// Bind and start the accept thread. The bound address (with the
+    /// resolved port) is on the handle.
     pub fn start(state: Arc<ServeState>, opts: ServeOptions) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&opts.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             state,
-            queue: Coalescer::new(opts.max_batch),
             stop: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
             opts,
         });
-
-        let (ready, running) = channel();
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let batch = Vec::with_capacity(shared.opts.max_batch);
-                let _ = ready.send(());
-                dispatch_loop(&shared, batch)
-            })
-        };
-        if running.recv().is_err() {
-            let _ = dispatcher.join();
-            return Err(std::io::Error::other("dispatcher thread failed to start"));
-        }
-        let (ready, running) = channel();
         let accept = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let handlers = Vec::with_capacity(shared.opts.max_connections);
-                let _ = ready.send(());
-                accept_loop(&shared, listener, handlers)
-            })
+            std::thread::spawn(move || accept_loop(&shared, listener))
         };
-        if running.recv().is_err() {
-            let _ = accept.join();
-            shared.queue.drain();
-            let _ = dispatcher.join();
-            return Err(std::io::Error::other("accept thread failed to start"));
-        }
-
         Ok(ServerHandle {
             addr,
             shared,
             accept: Some(accept),
-            dispatcher: Some(dispatcher),
         })
     }
 }
@@ -205,22 +222,14 @@ impl ServerHandle {
     /// [`ServeOptions::read_timeout`] (idle keep-alive connections must
     /// time out before their handler notices the stop flag).
     pub fn shutdown(&mut self) {
-        if self.accept.is_none() && self.dispatcher.is_none() {
+        let Some(accept) = self.accept.take() else {
             return;
-        }
+        };
         self.shared.stop.store(true, Ordering::SeqCst);
         // The accept thread blocks in accept(); a throwaway connection
-        // wakes it so it can observe the flag and start joining handlers.
+        // wakes it so it can observe the flag and join the handlers.
         let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // Handlers are gone, so nothing can submit anymore; flush what's
-        // queued and let the dispatcher exit.
-        self.shared.queue.drain();
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
-        }
+        let _ = accept.join();
     }
 }
 
@@ -230,7 +239,8 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(shared: &Arc<Shared>, listener: TcpListener, mut handlers: Vec<JoinHandle<()>>) {
+fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
+    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -267,8 +277,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener, mut handlers: Vec<Jo
         }));
     }
     // Handlers finish their in-flight request and exit on the stop flag
-    // (or their read timeout); the dispatcher is still running, so every
-    // submitted job gets its reply.
+    // (or their read timeout).
     for h in handlers {
         let _ = h.join();
     }
@@ -335,15 +344,18 @@ fn error_body(message: &str) -> String {
     format!("{{\"error\":\"{}\"}}", escape_json(message))
 }
 
-fn route(shared: &Arc<Shared>, req: &Request) -> Result<String, ServeError> {
+fn route(shared: &Shared, req: &Request) -> Result<String, ServeError> {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => Ok("{\"status\":\"ok\"}".to_string()),
         ("GET", "/stats") => Ok(stats_body(shared)),
-        ("POST", "/predict") => handle_batch(shared, &parse_body(&req.body)?, JobKind::Predict),
-        ("POST", "/explain") => {
+        ("POST", path @ ("/predict" | "/explain")) => {
+            let _in_flight = InFlight::enter(&shared.in_flight);
             let doc = parse_body(&req.body)?;
-            let explainer = explainer_from(&doc)?;
-            handle_batch(shared, &doc, JobKind::Explain(explainer))
+            let explainer = match path {
+                "/explain" => Some(explainer_from(&doc)?),
+                _ => None,
+            };
+            answer(shared, &doc, explainer)
         }
         ("GET" | "POST", "/predict" | "/explain" | "/health" | "/stats") => {
             Err(ServeError::MethodNotAllowed)
@@ -361,12 +373,12 @@ fn stats_body(shared: &Shared) -> String {
         )
     };
     format!(
-        "{{\"matcher\":\"{}\",\"family\":\"{:?}\",\"explanations\":{},\"perturbation_sets\":{},\"queue_depth\":{}}}",
+        "{{\"matcher\":\"{}\",\"family\":\"{:?}\",\"explanations\":{},\"perturbation_sets\":{},\"in_flight\":{}}}",
         state.matcher_kind.label(),
         state.ctx.family,
         stats_json(state.session.explanations().stats()),
         stats_json(state.session.explanations().perturbation_stats()),
-        shared.queue.depth(),
+        shared.in_flight.load(Ordering::SeqCst),
     )
 }
 
@@ -391,58 +403,96 @@ fn parse_body(body: &[u8]) -> Result<Json, ServeError> {
     parse_json(text).map_err(|e| ServeError::BadRequest(format!("invalid JSON: {e}")))
 }
 
-/// Read the request's pairs, enqueue one job per pair, block for the
-/// replies, and serialise the response in request order.
-fn handle_batch(shared: &Arc<Shared>, doc: &Json, kind: JobKind) -> Result<String, ServeError> {
+/// Answer one `/predict` (no `explainer`) or `/explain` request on the
+/// calling connection thread: dedup its pairs, do the model work once
+/// per unique pair, and render the results in request order.
+fn answer(
+    shared: &Shared,
+    doc: &Json,
+    explainer: Option<ExplainerKind>,
+) -> Result<String, ServeError> {
     let pairs = parse_pairs(shared, doc)?;
-    let (tx, rx) = channel();
-    let n = pairs.len();
-    for (index, pair) in pairs.into_iter().enumerate() {
-        let job = Job {
-            kind,
-            fingerprint: pair_fingerprint(&pair),
-            pair,
-            index,
-            reply: tx.clone(),
-        };
-        if let Err(job) = shared.queue.submit(job) {
-            let _ = job.reply.send((job.index, Err(ServeError::ShuttingDown)));
+    em_obs::counter!("serve/batches", 1);
+    let deduped = {
+        let _span = em_obs::root_span!("serve/coalesce");
+        coalesce(pairs, pair_fingerprint)
+    };
+    let state = &shared.state;
+    let rendered: Vec<String> = match explainer {
+        None => model_work(|| state.matcher.predict_proba_batch(&deduped.unique))?
+            .into_iter()
+            .map(|p| {
+                format!(
+                    "{{\"probability\":{},\"match\":{}}}",
+                    num_json(p),
+                    p >= state.threshold
+                )
+            })
+            .collect(),
+        Some(kind) => {
+            model_work(|| explain_all(state, shared.opts.query_jobs, kind, &deduped.unique))??
+                .iter()
+                .map(|output| {
+                    format!(
+                        "{{\"explainer\":\"{}\",\"explanation\":{}}}",
+                        output.kind.label(),
+                        explanation_json(output, state)
+                    )
+                })
+                .collect()
         }
-    }
-    drop(tx);
-
-    let mut results: Vec<Option<Result<Reply, ServeError>>> = vec![None; n];
-    for (index, result) in rx {
-        results[index] = Some(result);
-    }
+    };
     let mut out = String::from("{\"results\":[");
-    for (i, slot) in results.into_iter().enumerate() {
+    for (i, &slot) in deduped.slots.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        // A missing slot means the dispatcher died mid-batch — surface
-        // it as a whole-request failure rather than a partial body.
-        let reply =
-            slot.ok_or_else(|| ServeError::Internal("dispatcher dropped a reply".into()))??;
-        out.push_str(&reply_json(shared, &reply));
+        out.push_str(&rendered[slot]);
     }
     out.push_str("]}");
     Ok(out)
 }
 
-fn reply_json(shared: &Arc<Shared>, reply: &Reply) -> String {
-    match reply {
-        Reply::Probability(p) => format!(
-            "{{\"probability\":{},\"match\":{}}}",
-            num_json(*p),
-            *p >= shared.state.threshold
-        ),
-        Reply::Explanation(output) => format!(
-            "{{\"explainer\":\"{}\",\"explanation\":{}}}",
-            output.kind.label(),
-            explanation_json(output, &shared.state)
-        ),
-    }
+/// Run a request's model work under the `serve/query` span. A panic in
+/// it answers this request 500; the connection and the server keep
+/// serving.
+fn model_work<T>(work: impl FnOnce() -> T) -> Result<T, ServeError> {
+    let _span = em_obs::root_span!("serve/query");
+    catch_unwind(AssertUnwindSafe(work)).map_err(|payload| {
+        let what = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("no message");
+        ServeError::Internal(format!("the model panicked: {what}"))
+    })
+}
+
+/// Explain each unique pair, fanned out over the pool; results land in
+/// index-keyed slots, so the fan-out order never shows. Repeats are
+/// answered from the explanation store, whose single-flight slots also
+/// make concurrent first requests for one pair share a computation. No
+/// request asks for another CREW configuration of a pair, so a miss
+/// drops its perturbation set once explained.
+fn explain_all(
+    state: &ServeState,
+    query_jobs: usize,
+    kind: ExplainerKind,
+    pairs: &[EntityPair],
+) -> Result<Vec<Arc<ExplanationOutput>>, ServeError> {
+    let slots: Vec<OnceLock<Result<Arc<ExplanationOutput>, ServeError>>> =
+        pairs.iter().map(|_| OnceLock::new()).collect();
+    em_pool::global().run(pairs.len(), query_jobs, &|i| {
+        let result = state
+            .session
+            .explain_for_unshared_set(state.matcher_kind, kind, &state.ctx, &pairs[i])
+            .map_err(|e| ServeError::Internal(e.to_string()));
+        let _ = slots[i].set(result);
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("the pool runs every index"))
+        .collect()
 }
 
 /// Deterministic explanation payload via the shared `crew_core::report`
@@ -457,7 +507,7 @@ pub fn explanation_json(output: &ExplanationOutput, state: &ServeState) -> Strin
     }
 }
 
-fn parse_pairs(shared: &Arc<Shared>, doc: &Json) -> Result<Vec<EntityPair>, ServeError> {
+fn parse_pairs(shared: &Shared, doc: &Json) -> Result<Vec<EntityPair>, ServeError> {
     let items = doc
         .get("pairs")
         .and_then(Json::as_array)
@@ -504,145 +554,36 @@ fn parse_pairs(shared: &Arc<Shared>, doc: &Json) -> Result<Vec<EntityPair>, Serv
         .collect()
 }
 
-/// The dispatcher: one batch at a time, dedup → one backend pass → fan
-/// replies back out. `batch` is refilled in place for the thread's whole
-/// life.
-fn dispatch_loop(shared: &Arc<Shared>, mut batch: Vec<Job>) {
-    while shared.queue.next_batch(&mut batch) {
-        em_obs::counter!("serve/batches", 1);
-        batch = run_batch(&shared.state, shared.opts.query_jobs, batch);
-    }
-}
-
-/// Where one job's answer goes: its request's reply channel and its
-/// position in that request.
-struct Waiter {
-    kind: JobKind,
-    index: usize,
-    reply: Sender<(usize, Result<Reply, ServeError>)>,
-}
-
-impl Waiter {
-    fn send(&self, result: Result<Reply, ServeError>) {
-        // A dead receiver (client hung up) is fine — drop the reply.
-        let _ = self.reply.send((self.index, result));
-    }
-}
-
-/// Work items of one batch after dedup: unique pairs in first-seen
-/// order, plus each job's waiter and slot for the reply fan-out.
+/// A request's pairs after dedup: the unique pairs in first-seen order,
+/// and for each request position the index of its unique pair.
 struct Deduped {
-    jobs: Vec<(Waiter, usize)>,
-    predict_pairs: Vec<EntityPair>,
-    explain_work: Vec<(ExplainerKind, EntityPair)>,
-    /// The batch's own buffer, emptied, for the dispatcher to refill.
-    spent: Vec<Job>,
+    unique: Vec<EntityPair>,
+    slots: Vec<usize>,
 }
 
-fn coalesce(mut batch: Vec<Job>) -> Deduped {
-    // `(kind, fingerprint)` → the unique slots filed under it. The
-    // fingerprint only buckets: a job shares a slot only with an equal
-    // pair, so two pairs whose fingerprints collide get separate answers.
-    let mut buckets: HashMap<(JobKind, u64), Vec<usize>> = HashMap::with_capacity(batch.len());
-    let mut predict_pairs: Vec<EntityPair> = Vec::new();
-    let mut explain_work: Vec<(ExplainerKind, EntityPair)> = Vec::new();
-    let mut jobs = Vec::with_capacity(batch.len());
-    let mut coalesced = 0usize;
-    for Job {
-        kind,
-        pair,
-        fingerprint,
-        index,
-        reply,
-    } in batch.drain(..)
-    {
-        let bucket = buckets.entry((kind, fingerprint)).or_default();
-        let shared = bucket.iter().copied().find(|&slot| match kind {
-            JobKind::Predict => predict_pairs[slot] == pair,
-            JobKind::Explain(_) => explain_work[slot].1 == pair,
-        });
-        let slot = match shared {
-            Some(slot) => {
-                coalesced += 1;
-                slot
-            }
+/// Deduplicate a request's pairs. The fingerprint only buckets: a pair
+/// shares a slot only with an equal pair, so two pairs whose
+/// fingerprints collide get separate answers.
+fn coalesce(pairs: Vec<EntityPair>, fingerprint: impl Fn(&EntityPair) -> u64) -> Deduped {
+    let mut buckets: HashMap<u64, Vec<usize>> = HashMap::with_capacity(pairs.len());
+    let mut unique: Vec<EntityPair> = Vec::with_capacity(pairs.len());
+    let mut slots = Vec::with_capacity(pairs.len());
+    for pair in pairs {
+        let bucket = buckets.entry(fingerprint(&pair)).or_default();
+        let slot = match bucket.iter().copied().find(|&slot| unique[slot] == pair) {
+            Some(slot) => slot,
             None => {
-                let slot = match kind {
-                    JobKind::Predict => {
-                        predict_pairs.push(pair);
-                        predict_pairs.len() - 1
-                    }
-                    JobKind::Explain(explainer) => {
-                        explain_work.push((explainer, pair));
-                        explain_work.len() - 1
-                    }
-                };
-                bucket.push(slot);
-                slot
+                unique.push(pair);
+                bucket.push(unique.len() - 1);
+                unique.len() - 1
             }
         };
-        jobs.push((Waiter { kind, index, reply }, slot));
+        slots.push(slot);
     }
     // Always bump the counter (even by 0) so the trace schema check can
     // assert its presence on quiet runs.
-    em_obs::counter!("serve/coalesced", coalesced as u64);
-    Deduped {
-        jobs,
-        predict_pairs,
-        explain_work,
-        spent: batch,
-    }
-}
-
-/// Answer one batch and hand back its emptied buffer. Predict replies
-/// go out as soon as `predict_proba_batch` returns, so a predict never
-/// waits for a cold CREW run that shares its batch.
-fn run_batch(state: &ServeState, query_jobs: usize, batch: Vec<Job>) -> Vec<Job> {
-    let deduped = {
-        let _span = em_obs::root_span!("serve/coalesce");
-        coalesce(batch)
-    };
-    let explanations = {
-        let _span = em_obs::root_span!("serve/query");
-        if !deduped.predict_pairs.is_empty() {
-            let probabilities = state.matcher.predict_proba_batch(&deduped.predict_pairs);
-            for (waiter, slot) in &deduped.jobs {
-                if waiter.kind == JobKind::Predict {
-                    waiter.send(Ok(Reply::Probability(probabilities[*slot])));
-                }
-            }
-        }
-        // Explanations fan out over the pool; results land in
-        // index-keyed slots so the fan-out order never shows. Repeats are
-        // answered from the explanation store and no request asks for
-        // another CREW configuration of a pair, so a miss drops its
-        // perturbation set once explained.
-        let n = deduped.explain_work.len();
-        let slots: Vec<OnceLock<Result<Arc<ExplanationOutput>, ServeError>>> =
-            (0..n).map(|_| OnceLock::new()).collect();
-        em_pool::global().run(n, query_jobs, &|i| {
-            let (kind, pair) = &deduped.explain_work[i];
-            let result = state
-                .session
-                .explain_for_unshared_set(state.matcher_kind, *kind, &state.ctx, pair)
-                .map_err(|e| ServeError::Internal(e.to_string()));
-            let _ = slots[i].set(result);
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|| Err(ServeError::Internal("explain slot unfilled".into())))
-            })
-            .collect::<Vec<_>>()
-    };
-
-    for (waiter, slot) in &deduped.jobs {
-        if let JobKind::Explain(_) = waiter.kind {
-            waiter.send(explanations[*slot].clone().map(Reply::Explanation));
-        }
-    }
-    deduped.spent
+    em_obs::counter!("serve/coalesced", (slots.len() - unique.len()) as u64);
+    Deduped { unique, slots }
 }
 
 #[cfg(test)]
@@ -664,69 +605,11 @@ mod tests {
         let schema = Arc::new(Schema::new(vec!["title"]));
         let a = pair(&schema, "sonix tv 55", "sonix television 55");
         let b = pair(&schema, "veltron laptop", "koyama blender");
-        let (reply, _rx) = channel();
-        // Every job carries the same forced fingerprint, as two colliding
-        // pairs would; only the true duplicates of `a` may share its slot.
-        let jobs = [
-            (JobKind::Predict, &a),
-            (JobKind::Predict, &b),
-            (JobKind::Predict, &a),
-            (JobKind::Explain(ExplainerKind::Crew), &b),
-            (JobKind::Explain(ExplainerKind::Crew), &a),
-            (JobKind::Explain(ExplainerKind::Crew), &b),
-        ];
-        let batch = jobs
-            .iter()
-            .enumerate()
-            .map(|(index, &(kind, p))| Job {
-                kind,
-                pair: p.clone(),
-                fingerprint: 0x5eed,
-                index,
-                reply: reply.clone(),
-            })
-            .collect();
-        let deduped = coalesce(batch);
-        assert_eq!(deduped.predict_pairs, vec![a.clone(), b.clone()]);
-        assert_eq!(
-            deduped.explain_work,
-            vec![(ExplainerKind::Crew, b), (ExplainerKind::Crew, a)]
-        );
-        let slots: Vec<(usize, usize)> = deduped
-            .jobs
-            .iter()
-            .map(|(job, slot)| (job.index, *slot))
-            .collect();
-        assert_eq!(slots, vec![(0, 0), (1, 1), (2, 0), (3, 0), (4, 1), (5, 0)]);
-    }
-
-    #[test]
-    fn run_batch_answers_predicts_before_the_explain_fan_out() {
-        let state =
-            ServeState::load(Family::Restaurants, ExperimentConfig::smoke()).expect("state load");
-        let pair = state.ctx.pairs_to_explain(1).remove(0).pair;
-        let (reply, replies) = channel();
-        let batch = [JobKind::Explain(ExplainerKind::Crew), JobKind::Predict]
-            .into_iter()
-            .enumerate()
-            .map(|(index, kind)| Job {
-                kind,
-                fingerprint: pair_fingerprint(&pair),
-                pair: pair.clone(),
-                index,
-                reply: reply.clone(),
-            })
-            .collect();
-        drop(reply);
-        let spent = run_batch(&state, 1, batch);
-        assert!(spent.is_empty());
-        let order: Vec<usize> = replies
-            .iter()
-            .map(|(index, result)| {
-                assert!(result.is_ok(), "job {index} failed");
-                index
-            })
-            .collect();
-        assert_eq!(order, vec![1, 0], "the predict must not wait for CREW");
+        // Every pair gets the same forced fingerprint, as two colliding
+        // pairs would; only the true duplicates of a pair share its slot.
+        let request = vec![b.clone(), a.clone(), b.clone(), a.clone(), b.clone()];
+        let deduped = coalesce(request, |_| 0x5eed);
+        assert_eq!(deduped.unique, vec![b, a]);
+        assert_eq!(deduped.slots, vec![0, 1, 0, 1, 0]);
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Required pre-merge gate: the tier-1 build/test cycle, hermetically.
 #
-#   ./scripts/ci.sh           # fmt check + release build + full test suite + rustdoc
+#   ./scripts/ci.sh           # fmt + clippy + release build + full test suite + rustdoc
 #   ./scripts/ci.sh --bench   # additionally smoke-run the experiment driver
 #
 # Everything runs with --locked --offline: the workspace has no external
@@ -12,6 +12,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+echo "==> cargo clippy (locked, offline, warnings are errors)"
+cargo clippy --workspace --all-targets --locked --offline -- -D warnings
 
 echo "==> cargo build --release (locked, offline)"
 cargo build --release --locked --offline
@@ -104,10 +107,9 @@ EOF
 echo "==> serve smoke (load_gen --smoke --trace) + coalescing schema check"
 # The bin itself hard-fails unless the session stores prove query
 # sharing (hits + coalesced > 0 under concurrent identical pairs); this
-# leg additionally checks the serve span tree and its counters. Batching
-# is load-adaptive: a request that finds the dispatcher idle is a batch
-# of one, and requests that queue behind a busy dispatcher share the
-# next batch.
+# leg additionally checks the serve span tree and its counters. Each
+# connection thread answers its own requests: every `/predict` or
+# `/explain` is one batch, deduplicated within the request.
 cargo run --release --locked --offline -p em-bench --bin load_gen -- --smoke --trace
 python3 - results/TRACE_serve_smoke.json <<'EOF'
 import json, sys
@@ -121,9 +123,8 @@ for root in ("serve/accept", "serve/parse", "serve/coalesce", "serve/query"):
 counters = {c["name"]: c["value"] for c in trace["counters"]}
 for name in ("serve/requests", "serve/batches", "serve/connections"):
     assert counters.get(name, 0) > 0, f"counter {name!r} missing or zero"
-# Reported even when nothing merged: identical requests merge in a batch
-# only when they queued behind a busy dispatcher together; the rest are
-# store hits.
+# Reported even when nothing merged: only duplicate pairs within one
+# request merge here; repeats across requests are store hits.
 assert "serve/coalesced" in counters, "counter 'serve/coalesced' missing"
 print(f"serve trace ok: {counters['serve/requests']} requests in "
       f"{counters['serve/batches']} batches, "

@@ -89,7 +89,7 @@ fn zoo() -> &'static Zoo {
             .examples()
             .iter()
             .map(|ex| ex.pair.clone())
-            .filter(|p| TokenizedPair::new(p.clone()).len() > 0)
+            .filter(|p| !TokenizedPair::new(p.clone()).is_empty())
             .collect();
         assert!(!test_pairs.is_empty(), "need non-empty test pairs");
         Zoo {

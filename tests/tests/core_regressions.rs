@@ -57,15 +57,15 @@ fn recomputed_fidelity(
         .sum();
     let mut ss_res = 0.0;
     let mut ss_tot = 0.0;
-    for i in 0..set.len() {
+    for ((mask, &ki), &y) in set.masks.iter().zip(&k).zip(&set.responses) {
         let pred: f64 = intercept
-            + set.masks[i]
+            + mask
                 .iter()
                 .zip(weights)
                 .map(|(&kept, &w)| if kept { w } else { 0.0 })
                 .sum::<f64>();
-        ss_res += k[i] * (set.responses[i] - pred) * (set.responses[i] - pred);
-        ss_tot += k[i] * (set.responses[i] - ymean) * (set.responses[i] - ymean);
+        ss_res += ki * (y - pred) * (y - pred);
+        ss_tot += ki * (y - ymean) * (y - ymean);
     }
     if ss_tot <= f64::EPSILON {
         1.0

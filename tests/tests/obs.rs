@@ -290,3 +290,54 @@ fn enabling_obs_never_changes_explanations() {
         assert_eq!(t.weight.to_bits(), q.weight.to_bits());
     }
 }
+
+/// Serving an attention matcher trains the word embeddings once: the
+/// context's matcher shares the context's embeddings instead of training
+/// its own from the same split, and scores every test pair, and picks
+/// its threshold, bit for bit as a standalone `AttentionMatcher::fit`.
+#[test]
+fn serving_an_attention_matcher_trains_the_embeddings_once() {
+    use em_matchers::{AttentionMatcher, AttentionOptions, Matcher};
+
+    let _g = guard();
+    let config = em_eval::ExperimentConfig {
+        matcher: em_eval::MatcherKind::Attention,
+        ..em_eval::ExperimentConfig::smoke()
+    };
+    let state = em_serve::ServeState::load(em_synth::Family::Restaurants, config).expect("load");
+    let report = finish();
+    let trainings = report
+        .counters
+        .iter()
+        .find(|(name, _)| name == "embed/trainings")
+        .map(|(_, v)| *v);
+    assert_eq!(trainings, Some(1), "embeddings trained more than once");
+
+    let split = &state.ctx.split;
+    let standalone = AttentionMatcher::fit(
+        &split.train,
+        &split.validation,
+        AttentionOptions {
+            seed: state.ctx.seed,
+            ..AttentionOptions::default()
+        },
+    )
+    .expect("standalone fit");
+    assert_eq!(
+        state.matcher.threshold().to_bits(),
+        standalone.threshold().to_bits()
+    );
+    let pairs: Vec<em_data::EntityPair> = split
+        .test
+        .examples()
+        .iter()
+        .map(|e| e.pair.clone())
+        .collect();
+    let bits = |m: &dyn Matcher| -> Vec<u64> {
+        m.predict_proba_batch(&pairs)
+            .iter()
+            .map(|p| p.to_bits())
+            .collect()
+    };
+    assert_eq!(bits(state.matcher.as_ref()), bits(&standalone));
+}

@@ -1,10 +1,16 @@
 //! Service-level tests for `em-serve`: response equivalence with direct
 //! `EvalSession` calls (the store≡fresh discipline of `eval_store.rs`
 //! extended to the network boundary), backend sharing under concurrent
-//! identical requests, and clean error handling for malformed, slow, and
-//! oversized clients over real sockets.
+//! identical requests, requests on different connections that never wait
+//! for each other, a panicking model, and clean error handling for
+//! malformed, slow, and oversized clients over real sockets.
 
+mod common;
+
+use common::GatedMatcher;
+use em_data::{EntityPair, Side};
 use em_eval::{EvalSession, ExperimentConfig};
+use em_matchers::Matcher;
 use em_serve::{
     explanation_json, num_json, parse_json, write_request, Connection, Json, Limits, Response,
     ServeOptions, ServeState, Server, ServerHandle,
@@ -12,6 +18,7 @@ use em_serve::{
 use em_synth::Family;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -33,15 +40,27 @@ fn start(state: Arc<ServeState>, opts: ServeOptions) -> ServerHandle {
     Server::start(state, opts).expect("server start")
 }
 
-/// Open a connection, send one request, read one response.
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
+/// A client connection whose reads give up after `timeout`.
+fn connect(addr: SocketAddr, timeout: Duration) -> Connection<TcpStream> {
     let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let mut conn = Connection::new(stream);
+    stream.set_read_timeout(Some(timeout)).unwrap();
+    Connection::new(stream)
+}
+
+/// Send one request on `conn` and read its response.
+fn send(conn: &mut Connection<TcpStream>, method: &str, path: &str, body: &str) -> Response {
     write_request(conn.stream_mut(), method, path, body.as_bytes()).expect("write");
     conn.read_response(&Limits::default()).expect("response")
+}
+
+/// Open a connection, send one request, read one response.
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Response {
+    send(
+        &mut connect(addr, Duration::from_secs(30)),
+        method,
+        path,
+        body,
+    )
 }
 
 /// Render the explain request body of a pair.
@@ -61,10 +80,10 @@ fn explain_body(pair: &em_data::EntityPair) -> String {
     )
 }
 
-/// Responses from the server — N concurrent clients, coalescing on —
+/// Responses from the server — N concurrent clients over one session —
 /// must be bitwise identical to direct `EvalSession` calls for the same
-/// pairs, and invariant to the dispatcher's fan-out width (`query_jobs`
-/// 1 vs 4).
+/// pairs, and invariant to the explain fan-out width (`query_jobs` 1
+/// vs 4).
 #[test]
 fn served_responses_equal_direct_session_calls_at_any_job_count() {
     let config = ExperimentConfig::smoke();
@@ -248,8 +267,128 @@ fn malformed_clients_get_clean_errors_and_server_survives() {
     let stats = request(addr, "GET", "/stats", "");
     assert_eq!(stats.status, 200);
     let stats = parse_json(std::str::from_utf8(&stats.body).unwrap()).expect("stats JSON");
-    // Nothing is in flight: the live queue is empty.
-    assert_eq!(stats.get("queue_depth").and_then(Json::as_f64), Some(0.0));
+    // Nothing is in flight, the failed requests included.
+    assert_eq!(stats.get("in_flight").and_then(Json::as_f64), Some(0.0));
+}
+
+/// Opens the gate when dropped, so a failing test still lets the
+/// server's shutdown join the held request.
+struct OpenOnDrop<'a>(&'a GatedMatcher);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// A fresh-session state over the shared context that answers
+/// `/predict` with `matcher`. CREW still queries the context's own
+/// trained matcher.
+fn state_with_matcher(matcher: Arc<dyn Matcher>) -> Arc<ServeState> {
+    let loaded = shared_state();
+    Arc::new(ServeState {
+        session: EvalSession::new(ExperimentConfig::smoke()),
+        ctx: Arc::clone(&loaded.ctx),
+        matcher,
+        matcher_kind: loaded.matcher_kind,
+        threshold: loaded.threshold,
+    })
+}
+
+/// A cold explain on one connection is answered while a predict on
+/// another connection is still inside the matcher: each connection
+/// thread does its own request's model work.
+#[test]
+fn an_explain_is_answered_while_another_connection_is_inside_the_matcher() {
+    let (entered, entries) = channel();
+    let gate = GatedMatcher::new(Arc::clone(&shared_state().matcher), entered);
+    let state = state_with_matcher(Arc::clone(&gate) as Arc<dyn Matcher>);
+    let pairs = state.ctx.pairs_to_explain(2);
+    let server = start(Arc::clone(&state), ServeOptions::default());
+    let _open_on_exit = OpenOnDrop(&gate);
+    let addr = server.addr();
+
+    let held = {
+        let body = explain_body(&pairs[0].pair);
+        std::thread::spawn(move || request(addr, "POST", "/predict", &body))
+    };
+    entries
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the predict never reached the matcher");
+    // Connection B: its read gives up rather than hang if the explain
+    // waits for connection A's predict.
+    let explain = send(
+        &mut connect(addr, Duration::from_secs(10)),
+        "POST",
+        "/explain",
+        &explain_body(&pairs[1].pair),
+    );
+    assert_eq!(
+        explain.status,
+        200,
+        "{}",
+        String::from_utf8_lossy(&explain.body)
+    );
+    assert_eq!(state.session.explanations().stats().misses, 1);
+
+    gate.open();
+    assert_eq!(held.join().expect("predict client").status, 200);
+}
+
+/// Marks the pairs on which [`PanickingMatcher`] panics.
+const PANIC_MARKER: &str = "__panic__";
+
+/// Panics on every batch holding a pair whose left record carries
+/// [`PANIC_MARKER`]; otherwise defers to `inner`.
+struct PanickingMatcher {
+    inner: Arc<dyn Matcher>,
+}
+
+impl Matcher for PanickingMatcher {
+    fn name(&self) -> &str {
+        "panicking"
+    }
+
+    fn predict_proba(&self, pair: &EntityPair) -> f64 {
+        self.predict_proba_batch(std::slice::from_ref(pair))[0]
+    }
+
+    fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
+        let marked = |p: &EntityPair| p.left().values().iter().any(|v| v.contains(PANIC_MARKER));
+        assert!(
+            !pairs.iter().any(marked),
+            "the model failed on a marked pair"
+        );
+        self.inner.predict_proba_batch(pairs)
+    }
+}
+
+/// A panic in the model answers its own request 500 with an error
+/// body; the same keep-alive connection and the server keep serving.
+#[test]
+fn a_panicking_model_answers_500_and_the_connection_keeps_serving() {
+    let state = state_with_matcher(Arc::new(PanickingMatcher {
+        inner: Arc::clone(&shared_state().matcher),
+    }));
+    let server = start(Arc::clone(&state), ServeOptions::default());
+    let addr = server.addr();
+    let pair = state.ctx.pairs_to_explain(1).remove(0).pair;
+    let mut marked = pair.clone();
+    let title = format!("{PANIC_MARKER} {}", pair.left().value(0));
+    marked.record_mut(Side::Left).set_value(0, title);
+
+    let mut conn = connect(addr, Duration::from_secs(10));
+    let failed = send(&mut conn, "POST", "/predict", &explain_body(&marked));
+    assert_eq!(failed.status, 500);
+    let doc = parse_json(std::str::from_utf8(&failed.body).unwrap()).expect("JSON error body");
+    assert!(doc.get("error").is_some(), "error body missing 'error'");
+
+    let next = send(&mut conn, "POST", "/predict", &explain_body(&pair));
+    assert_eq!(next.status, 200, "{}", String::from_utf8_lossy(&next.body));
+    assert_eq!(send(&mut conn, "GET", "/health", "").status, 200);
+    let stats = send(&mut conn, "GET", "/stats", "");
+    let stats = parse_json(std::str::from_utf8(&stats.body).unwrap()).expect("stats JSON");
+    assert_eq!(stats.get("in_flight").and_then(Json::as_f64), Some(0.0));
 }
 
 /// A client that stalls mid-request is timed out (408) without wedging

@@ -3,13 +3,16 @@
 //! registry is process-global: enabling it here must not race the other
 //! serve suites.
 //!
-//! The contract: `shutdown()` lets the in-flight request complete,
-//! answers everything already queued (never drops an accepted request),
-//! and closes the listener so the exact same address can be rebound
-//! immediately. The collected trace must show the four serve roots
-//! (`serve/accept`, `serve/parse`, `serve/coalesce`, `serve/query`) as
-//! well-formed depth-0 spans with coherent counters.
+//! The contract: `shutdown()` lets every in-flight request complete on
+//! its connection thread (never drops an accepted request), and closes
+//! the listener so the exact same address can be rebound immediately.
+//! The collected trace must show the four serve roots (`serve/accept`,
+//! `serve/parse`, `serve/coalesce`, `serve/query`) as well-formed
+//! depth-0 spans with coherent counters.
 
+mod common;
+
+use common::GatedMatcher;
 use em_data::EntityPair;
 use em_eval::{EvalSession, ExperimentConfig};
 use em_matchers::Matcher;
@@ -18,46 +21,9 @@ use em_serve::{
 };
 use em_synth::Family;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::channel;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Holds every `predict_proba_batch` call until the gate opens, and
-/// reports each call as it enters: a way to keep the dispatcher busy for
-/// exactly as long as the test needs.
-struct GatedMatcher {
-    inner: Arc<dyn Matcher>,
-    open: Mutex<bool>,
-    opened: Condvar,
-    entered: Sender<()>,
-}
-
-impl GatedMatcher {
-    fn open(&self) {
-        *self.open.lock().unwrap() = true;
-        self.opened.notify_all();
-    }
-}
-
-impl Matcher for GatedMatcher {
-    fn name(&self) -> &str {
-        "gated"
-    }
-
-    fn predict_proba(&self, pair: &EntityPair) -> f64 {
-        self.predict_proba_batch(std::slice::from_ref(pair))[0]
-    }
-
-    fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
-        let _ = self.entered.send(());
-        let mut open = self.open.lock().unwrap();
-        while !*open {
-            open = self.opened.wait(open).unwrap();
-        }
-        drop(open);
-        self.inner.predict_proba_batch(pairs)
-    }
-}
 
 fn predict_body(pair: &EntityPair) -> String {
     let side = |r: &em_data::Record| {
@@ -109,12 +75,7 @@ fn shutdown_answers_queued_requests_releases_the_port_and_leaves_a_clean_trace()
 
     let loaded = ServeState::load(Family::Restaurants, ExperimentConfig::smoke()).expect("load");
     let (entered, entries) = channel();
-    let gate = Arc::new(GatedMatcher {
-        inner: Arc::clone(&loaded.matcher),
-        open: Mutex::new(false),
-        opened: Condvar::new(),
-        entered,
-    });
+    let gate = GatedMatcher::new(Arc::clone(&loaded.matcher), entered);
     let state = Arc::new(ServeState {
         session: EvalSession::new(ExperimentConfig::smoke()),
         ctx: Arc::clone(&loaded.ctx),
@@ -138,26 +99,22 @@ fn shutdown_answers_queued_requests_releases_the_port_and_leaves_a_clean_trace()
         std::thread::spawn(move || send(&mut connect(addr), "POST", "/predict", &body))
     };
 
-    // The first predict holds the dispatcher inside the gated matcher, so
-    // the second one stays QUEUED behind it.
-    let in_flight = client(bodies[0].clone());
-    entries
-        .recv_timeout(Duration::from_secs(30))
-        .expect("the dispatcher never ran the first predict");
-    let queued = client(bodies[1].clone());
-    poll(
-        &mut probe,
-        "/stats",
-        "the second predict to queue",
-        |resp| {
-            let doc = parse_json(std::str::from_utf8(&resp.body).unwrap()).expect("stats JSON");
-            doc.get("queue_depth").and_then(Json::as_f64) == Some(1.0)
-        },
-    );
+    // Each predict enters the gated matcher on its own connection thread,
+    // so both are held there at once.
+    let first = client(bodies[0].clone());
+    let second = client(bodies[1].clone());
+    for which in ["first", "second"] {
+        entries
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("the {which} predict never reached the matcher"));
+    }
+    let stats = send(&mut probe, "GET", "/stats", "");
+    let doc = parse_json(std::str::from_utf8(&stats.body).unwrap()).expect("stats JSON");
+    assert_eq!(doc.get("in_flight").and_then(Json::as_f64), Some(2.0));
 
-    // Start shutdown with one request in flight and one queued. Once the
-    // stop flag is up the server announces `Connection: close`; only then
-    // does the gate open.
+    // Start shutdown with both requests in flight. Once the stop flag is
+    // up the server announces `Connection: close`; only then does the
+    // gate open.
     let stopping = std::thread::spawn(move || {
         server.shutdown();
         server
@@ -167,7 +124,7 @@ fn shutdown_answers_queued_requests_releases_the_port_and_leaves_a_clean_trace()
     });
     gate.open();
 
-    for (what, handle) in [("in-flight", in_flight), ("queued", queued)] {
+    for (what, handle) in [("first", first), ("second", second)] {
         let resp = handle.join().expect("client thread");
         assert_eq!(
             resp.status,
@@ -222,7 +179,7 @@ fn shutdown_answers_queued_requests_releases_the_port_and_leaves_a_clean_trace()
     };
     // Two predicts, the probe's polls and the reborn server's health check.
     assert!(counter("serve/requests").expect("serve/requests counter") >= 4);
-    // The in-flight and the queued predict ran one batch each.
+    // One batch per predict request.
     assert_eq!(counter("serve/batches"), Some(2));
     assert!(counter("serve/connections").expect("serve/connections counter") >= 4);
     // Always published, even when nothing merged.
